@@ -13,7 +13,7 @@ h_n[h_m] - h_m[h_n] and for h_m[hn] - s_(2^m) odot h_m[h(n-2)], and a CLI
 (``plethysm``) exposing all of it.
 """
 
-from .partition import Partition, add_partitions, min_gap, partitions_of
+from .partition import Partition, min_gap, partitions_of
 from .schur import SchurSum, s, ssyt_count
 from .thrall import coeff_from_gap, h3_coeff_closed, h3_coeff_recursive, h3_thrall
 from .recurrence import (
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
-    "add_partitions",
     "partitions_of",
     "min_gap",
     "SchurSum",

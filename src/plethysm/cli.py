@@ -39,21 +39,29 @@ def _now_ms() -> float:
 
 
 # ---------------------------------------------------------------------------
-# expand
+# routes
 
+ORACLE = "oracle"
+
+# The one table of routes, m -> route -> callable(n, cache, budget), that
+# expand, verify and bench iterate over. The brute-force oracle runs last
+# and on fewer n, up to --oracle-max-n.
 _METHODS = {
-    2: {
-        "recurrence": lambda n, cache, budget: cache.h2(n),
-        "closed": lambda n, cache, budget: h2_closed(n),
-        "oracle": lambda n, cache, budget: plethysm_oracle(2, n, budget=budget),
-    },
     3: {
         "recurrence": lambda n, cache, budget: cache.h3(n),
         "thrall": lambda n, cache, budget: h3_thrall(n),
-        "oracle": lambda n, cache, budget: plethysm_oracle(3, n, budget=budget),
+        ORACLE: lambda n, cache, budget: plethysm_oracle(3, n, budget=budget),
+    },
+    2: {
+        "recurrence": lambda n, cache, budget: cache.h2(n),
+        "closed": lambda n, cache, budget: h2_closed(n),
+        ORACLE: lambda n, cache, budget: plethysm_oracle(2, n, budget=budget),
     },
 }
 
+
+# ---------------------------------------------------------------------------
+# expand
 
 def cmd_expand(args) -> int:
     table = _METHODS[args.m]
@@ -77,9 +85,7 @@ def cmd_expand(args) -> int:
 class VerificationReport:
     """Outcome of the cross-method comparison sweeps."""
 
-    n_range: tuple[int, int]
     oracle_range: tuple[int, int]
-    methods_compared: list[str]
     mismatches: list[tuple] = field(default_factory=list)
     positivity_failures: list[tuple] = field(default_factory=list)
     elapsed_ms: dict[str, float] = field(default_factory=dict)
@@ -99,66 +105,46 @@ def _record_mismatches(label: str, n: int, values: dict[str, SchurSum], sink: li
             sink.append((label, n, list(lam), coeffs))
 
 
+def _direct_routes(m: int) -> str:
+    """``recurrence vs thrall``: the routes verify runs on every n."""
+    return " vs ".join(route for route in _METHODS[m] if route != ORACLE)
+
+
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
-    """Compare the recurrence, closed-form, and oracle expansions of h2 and h3."""
-    report = VerificationReport(
-        n_range=(0, max_n),
-        oracle_range=(0, min(oracle_max_n, max_n)),
-        methods_compared=["h3_recurrence", "h3_thrall", "h3_oracle",
-                          "h2_recurrence", "h2_closed", "h2_oracle"],
-    )
+    """Expand h3 and h2 by every route, timing each, and compare: the direct
+    routes with one another on [0, max_n], the oracle with all of them on
+    [0, min(oracle_max_n, max_n)]."""
+    ora_hi = min(oracle_max_n, max_n)
+    report = VerificationReport(oracle_range=(0, ora_hi))
     cache = RecurrenceCache()
-
-    start = _now_ms()
-    rec3 = {n: cache.h3(n) for n in range(max_n + 1)}
-    report.elapsed_ms["h3_recurrence"] = _now_ms() - start
-
-    start = _now_ms()
-    thr3 = {n: h3_thrall(n) for n in range(max_n + 1)}
-    report.elapsed_ms["h3_thrall"] = _now_ms() - start
-
-    start = _now_ms()
-    rec2 = {n: cache.h2(n) for n in range(max_n + 1)}
-    report.elapsed_ms["h2_recurrence"] = _now_ms() - start
-
-    start = _now_ms()
-    clo2 = {n: h2_closed(n) for n in range(max_n + 1)}
-    report.elapsed_ms["h2_closed"] = _now_ms() - start
+    values: dict[int, dict[str, list[SchurSum]]] = {m: {} for m in _METHODS}
+    runs = [(m, route, expand) for m, routes in _METHODS.items() for route, expand in routes.items()]
+    for m, route, expand in sorted(runs, key=lambda run: run[1] == ORACLE):  # stable: oracle last
+        top = ora_hi if route == ORACLE else max_n
+        start = _now_ms()
+        values[m][route] = [expand(n, cache, budget) for n in range(top + 1)]
+        report.elapsed_ms[f"h{m}_{route}"] = _now_ms() - start
 
     for n in range(max_n + 1):
-        _record_mismatches("h3 recurrence vs thrall", n,
-                           {"recurrence": rec3[n], "thrall": thr3[n]}, report.mismatches)
-        _record_mismatches("h2 recurrence vs closed", n,
-                           {"recurrence": rec2[n], "closed": clo2[n]}, report.mismatches)
-        for lam, c in rec3[n].terms():
+        for m, by_route in values.items():
+            _record_mismatches(f"h{m} {_direct_routes(m)}", n,
+                               {route: v[n] for route, v in by_route.items() if route != ORACLE},
+                               report.mismatches)
+        for lam, c in cache.h3(n).terms():  # memoized: what the recurrence route returned
             if c < 0 or len(lam) > 3:
                 report.positivity_failures.append(("h3 nonnegative, at most 3 rows", n, list(lam), c))
-
-    ora_hi = min(oracle_max_n, max_n)
-    start = _now_ms()
-    for n in range(ora_hi + 1):
-        ora = plethysm_oracle(3, n, budget=budget)
-        _record_mismatches("h3 vs oracle", n,
-                           {"recurrence": rec3[n], "thrall": thr3[n], "oracle": ora},
-                           report.mismatches)
-    report.elapsed_ms["h3_oracle"] = _now_ms() - start
-
-    start = _now_ms()
-    for n in range(ora_hi + 1):
-        ora = plethysm_oracle(2, n, budget=budget)
-        _record_mismatches("h2 vs oracle", n,
-                           {"recurrence": rec2[n], "closed": clo2[n], "oracle": ora},
-                           report.mismatches)
-    report.elapsed_ms["h2_oracle"] = _now_ms() - start
+    for m, by_route in values.items():
+        for n in range(ora_hi + 1):
+            _record_mismatches(f"h{m} vs {ORACLE}", n,
+                               {route: v[n] for route, v in by_route.items()}, report.mismatches)
     return report
 
 
 def cmd_verify(args) -> int:
     report = run_verify(args.max_n, args.oracle_max_n, args.budget)
-    print(f"h3: recurrence vs thrall on n in [0,{args.max_n}], "
-          f"vs oracle on n in [0,{report.oracle_range[1]}]")
-    print(f"h2: recurrence vs closed on n in [0,{args.max_n}], "
-          f"vs oracle on n in [0,{report.oracle_range[1]}]")
+    for m in _METHODS:
+        print(f"h{m}: {_direct_routes(m)} on n in [0,{args.max_n}], "
+              f"vs {ORACLE} on n in [0,{report.oracle_range[1]}]")
     for name, ms in report.elapsed_ms.items():
         print(f"  {name}: {ms:.1f} ms")
     for label, n, lam, coeffs in report.mismatches:
@@ -230,7 +216,7 @@ class BenchResult:
 
 def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
               budget: int | None = DEFAULT_BUDGET) -> BenchResult:
-    """Time the three h3 methods; the recurrence runs memoized but cold per repeat."""
+    """Time every h3 route on n >= 1; each repeat starts every cache cold."""
     result = BenchResult(max_n=max_n, repeats=repeats)
 
     def record(n: int, method: str, ms: float) -> None:
@@ -241,30 +227,23 @@ def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
     oracle_hi = min(oracle_max_n, max_n)
     for _ in range(repeats):
         cache = RecurrenceCache()
-        for n in range(1, max_n + 1):
-            start = _now_ms()
-            cache.h3(n)
-            record(n, "recurrence", _now_ms() - start)
-        for n in range(1, max_n + 1):
-            start = _now_ms()
-            h3_thrall(n)
-            record(n, "thrall", _now_ms() - start)
-        clear_schur_poly_cache()  # oracle cold per repeat, like the recurrence
-        for n in range(1, oracle_hi + 1):
-            try:
-                start = _now_ms()
-                plethysm_oracle(3, n, budget=budget)
-                record(n, "oracle", _now_ms() - start)
-            except BudgetExceededError:
-                break  # the count only grows with n
+        clear_schur_poly_cache()
+        for route, expand in _METHODS[3].items():
+            for n in range(1, (oracle_hi if route == ORACLE else max_n) + 1):
+                try:
+                    start = _now_ms()
+                    expand(n, cache, budget)
+                    record(n, route, _now_ms() - start)
+                except BudgetExceededError:
+                    break  # the oracle's count only grows with n
     return result
 
 
 def cmd_bench(args) -> int:
     result = run_bench(args.max_n, args.repeats, args.oracle_max_n, args.budget)
-    methods = ["recurrence", "thrall", "oracle"]
+    methods = list(_METHODS[3])
     print(f"best of {args.repeats} repeats, milliseconds")
-    print("%6s%14s%14s%14s" % ("n", *methods))
+    print("%6s%s" % ("n", "".join("%14s" % m for m in methods)))
     for n in range(1, args.max_n + 1):
         cells = []
         for method in methods:
@@ -309,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, choices=(2, 3), default=3)
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--method", default="recurrence",
-                   choices=("recurrence", "thrall", "closed", "oracle"))
+                   choices=sorted(dict.fromkeys(route for routes in _METHODS.values() for route in routes),
+                                  key=lambda route: route == ORACLE))
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
                    help="oracle multiset budget")

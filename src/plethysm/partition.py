@@ -22,7 +22,7 @@ class Partition(tuple):
         parts = tuple(parts)
         cleaned = []
         for p in parts:
-            if not isinstance(p, int):
+            if isinstance(p, bool) or not isinstance(p, int):
                 raise ValueError(f"partition parts must be integers, got {p!r}")
             if p < 0:
                 raise ValueError(f"partition parts must be nonnegative, got {p}")
@@ -59,15 +59,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return "Partition(%s)" % ", ".join(map(str, self))
-
-
-def add_partitions(mu, lam) -> Partition:
-    """Componentwise sum of two partitions, padding the shorter with zeros."""
-    if not isinstance(mu, Partition):
-        mu = Partition(mu)
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    return mu + lam
 
 
 def partitions_of(total: int, max_parts: int) -> list[Partition]:

@@ -3,17 +3,18 @@
 The h2 case goes back to Littlewood:
 
     h2[hn] = sum_{k=0}^{floor(n/2)} s_(2n-2k, 2k)
-           = s_22 odot h2[h_{n-2}] + s_(2n),      h2[h0] = 1, h2[h1] = s_2.
+           = s_22 odot h2[h_{n-2}] + s_(2n).
 
 For h3, write T(n) for the part of h3[hn] with at most two rows. Then
 
     T(n)    = s_66 odot T(n-4) + sum_{k=2}^{n} s_(3n-k, k) + s_(3n),
     h3[hn]  = T(n) + s_222 odot h3[h_{n-2}] + s_441 odot T(n-3),
 
-with h3[h0] = 1, h3[h1] = s_3, and both h3[hm] and T(m) equal to 0 for
-negative m (that convention makes the displayed equations hold verbatim
-for every n >= 0). Computing through these recurrences touches only the
-terms that actually appear, which is what makes them fast.
+with h2[hm], h3[hm] and T(m) all 0 for negative m. That convention makes
+the displayed equations hold verbatim for every n >= 0, base cases included
+(they give h2[h0] = h3[h0] = 1, h2[h1] = s_2 and h3[h1] = s_3). Computing
+through these recurrences touches only the terms that actually appear,
+which is what makes them fast.
 """
 
 from .partition import Partition
@@ -48,55 +49,33 @@ class RecurrenceCache:
         self._h3: dict[int, SchurSum] = {}
         self._two_row: dict[int, SchurSum] = {}
 
-    def h2(self, n: int) -> SchurSum:
+    def _fill(self, table: dict[int, SchurSum], n: int, step: int, line) -> SchurSum:
+        # Store table[j] = line(j) for j = n % step, n % step + step, ..., n,
+        # bottom up, so the entry j - step that line(j) reads is already there.
         if n < 0:
             return SchurSum.zero()
-        if n not in self._h2:
-            for j in range(n % 2, n + 1, 2):
-                if j in self._h2:
-                    continue
-                if j == 0:
-                    value = SchurSum.one()
-                elif j == 1:
-                    value = s(2)
-                else:
-                    value = _S22.odot(self._h2[j - 2]) + s(2 * j)
-                self._h2[j] = value
-        return self._h2[n]
+        if n not in table:
+            for j in range(n % step, n + 1, step):
+                if j not in table:
+                    table[j] = line(j)
+        return table[n]
+
+    def h2(self, n: int) -> SchurSum:
+        return self._fill(self._h2, n, 2, lambda j: _S22.odot(self.h2(j - 2)) + s(2 * j))
 
     def h3_two_row(self, n: int) -> SchurSum:
-        if n < 0:
-            return SchurSum.zero()
-        if n not in self._two_row:
-            for j in range(n % 4, n + 1, 4):
-                if j in self._two_row:
-                    continue
-                shifted = _S66.odot(self._two_row[j - 4]) if j >= 4 else SchurSum.zero()
-                fresh = {Partition((3 * j,)): 1}
-                for k in range(2, j + 1):
-                    fresh[Partition._unchecked((3 * j - k, k))] = 1
-                self._two_row[j] = shifted + SchurSum._wrap(fresh)
-        return self._two_row[n]
+        def line(j: int) -> SchurSum:
+            fresh = {Partition((3 * j,)): 1}
+            for k in range(2, j + 1):
+                fresh[Partition._unchecked((3 * j - k, k))] = 1
+            return _S66.odot(self.h3_two_row(j - 4)) + SchurSum._wrap(fresh)
+
+        return self._fill(self._two_row, n, 4, line)
 
     def h3(self, n: int) -> SchurSum:
-        if n < 0:
-            return SchurSum.zero()
-        if n not in self._h3:
-            for j in range(n % 2, n + 1, 2):
-                if j in self._h3:
-                    continue
-                if j == 0:
-                    value = SchurSum.one()
-                elif j == 1:
-                    value = s(3)
-                else:
-                    value = (
-                        self.h3_two_row(j)
-                        + _S222.odot(self._h3[j - 2])
-                        + _S441.odot(self.h3_two_row(j - 3))
-                    )
-                self._h3[j] = value
-        return self._h3[n]
+        return self._fill(self._h3, n, 2, lambda j: (
+            self.h3_two_row(j) + _S222.odot(self.h3(j - 2)) + _S441.odot(self.h3_two_row(j - 3))
+        ))
 
 
 _DEFAULT_CACHE = RecurrenceCache()

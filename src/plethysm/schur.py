@@ -1,11 +1,10 @@
 """Sparse integer linear combinations of Schur functions.
 
 A ``SchurSum`` maps partitions to nonzero integer coefficients. Besides
-the ring operations it carries the two operators the h3[hn] recurrence is
-built from: ``odot``, the bilinear product that adds indexing partitions
-componentwise (s_mu odot s_lam = s_{mu+lam}), and ``project``, which keeps
-only the terms indexed by partitions with at most k parts. Coefficients
-are ordinary Python integers, so all arithmetic is exact.
+the ring operations it carries the operator the h2[hn] and h3[hn]
+recurrences are built from: ``odot``, the bilinear product that adds
+indexing partitions componentwise (s_mu odot s_lam = s_{mu+lam}).
+Coefficients are ordinary Python integers, so all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -52,6 +51,8 @@ class SchurSum:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[Partition, int] = {}
         for lam, coeff in items:
+            if isinstance(coeff, bool) or not isinstance(coeff, int):
+                raise ValueError(f"coefficients must be integers, got {coeff!r}")
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
             merged = data.get(lam, 0) + coeff
@@ -118,17 +119,10 @@ class SchurSum:
     def __sub__(self, other: "SchurSum") -> "SchurSum":
         if not isinstance(other, SchurSum):
             return NotImplemented
-        out = dict(self._terms)
-        for lam, c in other._terms.items():
-            merged = out.get(lam, 0) - c
-            if merged:
-                out[lam] = merged
-            else:
-                del out[lam]
-        return SchurSum._wrap(out)
+        return self + -other
 
     def __mul__(self, scalar: int) -> "SchurSum":
-        if not isinstance(scalar, int):
+        if isinstance(scalar, bool) or not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
             return SchurSum.zero()
@@ -148,10 +142,6 @@ class SchurSum:
                 else:
                     del out[nu]
         return SchurSum._wrap(out)
-
-    def project(self, k: int) -> "SchurSum":
-        """Keep only the terms indexed by partitions with at most k parts."""
-        return SchurSum._wrap({lam: c for lam, c in self._terms.items() if len(lam) <= k})
 
     def is_schur_positive(self) -> bool:
         """True when every stored coefficient is positive (zero sum included)."""

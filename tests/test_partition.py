@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from plethysm import Partition, add_partitions, min_gap, partitions_of
+from plethysm import Partition, min_gap, partitions_of
 
 
 @st.composite
@@ -51,6 +51,13 @@ def test_rejects_negative_and_nonint():
         Partition([2.0, 1])
 
 
+def test_rejects_bool_parts():
+    with pytest.raises(ValueError):
+        Partition([True, True])
+    with pytest.raises(ValueError):
+        Partition([2, False])
+
+
 def test_from_unsorted():
     assert Partition.from_unsorted([1, 4, 0, 2]) == (4, 2, 1)
 
@@ -95,9 +102,9 @@ def test_partitions_of_properties(total, max_parts):
 
 
 def test_add_componentwise():
-    assert add_partitions(Partition([6, 6]), Partition([4, 2])) == (10, 8)
-    assert add_partitions(Partition([2, 2, 2]), Partition([3])) == (5, 2, 2)
-    assert add_partitions(Partition(), Partition([4, 4, 1])) == (4, 4, 1)
+    assert Partition([6, 6]) + Partition([4, 2]) == (10, 8)
+    assert Partition([2, 2, 2]) + Partition([3]) == (5, 2, 2)
+    assert Partition() + Partition([4, 4, 1]) == (4, 4, 1)
 
 
 def test_plus_operator_is_componentwise_not_concat():

@@ -49,7 +49,8 @@ def test_two_row_base_cases():
 def test_two_row_matches_projected_thrall():
     cache = RecurrenceCache()
     for n in range(41):
-        assert cache.h3_two_row(n) == h3_thrall(n).project(2), n
+        two_row = SchurSum((lam, c) for lam, c in h3_thrall(n).terms() if len(lam) <= 2)
+        assert cache.h3_two_row(n) == two_row, n
 
 
 def test_h3_base_cases():

@@ -43,22 +43,15 @@ def test_odot_single_terms_commute_and_associate(lam, mu, nu):
     assert a.odot(b.odot(c)) == a.odot(b).odot(c)
 
 
-def test_project_known_values():
-    total = s(6) + s(4, 2) + s(2, 2, 2)
-    assert total.project(2) == s(6) + s(4, 2)
-    assert s(3).project(2) == s(3)
-
-
-@given(schur_sum_strategy(max_len=4), st.integers(1, 4))
-def test_project_idempotent(a, k):
-    assert a.project(k).project(k) == a.project(k)
-
-
 @given(schur_sum_strategy(max_len=4))
 def test_project_commutes_with_two_row_odot(a):
-    # For a fixed two-row shift, projecting before or after the odot agrees.
+    # For a fixed two-row shift, keeping the terms with at most two rows
+    # before or after the odot agrees.
+    def two_row(total):
+        return SchurSum((lam, c) for lam, c in total.terms() if len(lam) <= 2)
+
     mu = s(6, 6)
-    assert mu.odot(a).project(2) == mu.odot(a.project(2))
+    assert two_row(mu.odot(a)) == mu.odot(two_row(a))
 
 
 def test_ring_operations():
@@ -124,6 +117,23 @@ def test_json_terms_order_and_roundtrip():
         {"lambda": [2, 2, 2], "coeff": 1},
     ]
     assert SchurSum.from_json_terms(json.loads(json.dumps(terms))) == a
+
+
+def test_rejects_non_int_coefficients():
+    with pytest.raises(ValueError):
+        SchurSum.from_json_terms([{"lambda": [2], "coeff": 1.5}])
+    with pytest.raises(ValueError):
+        SchurSum([((2,), True)])
+    with pytest.raises(ValueError):
+        SchurSum.from_json_terms([{"lambda": [True], "coeff": 1}])
+
+
+def test_scalar_multiple_rejects_non_int():
+    for scalar in (True, 1.5):
+        with pytest.raises(TypeError):
+            s(2) * scalar
+        with pytest.raises(TypeError):
+            scalar * s(2)
 
 
 def test_duplicate_keys_merge_on_construction():

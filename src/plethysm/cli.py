@@ -130,7 +130,7 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
             _record_mismatches(f"h{m} {_direct_routes(m)}", n,
                                {route: v[n] for route, v in by_route.items() if route != ORACLE},
                                report.mismatches)
-        for lam, c in cache.h3(n).terms():  # memoized: what the recurrence route returned
+        for lam, c in values[3]["recurrence"][n].terms():
             if c < 0 or len(lam) > 3:
                 report.positivity_failures.append(("h3 nonnegative, at most 3 rows", n, list(lam), c))
     for m, by_route in values.items():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import zip_longest
+from operator import add
 
 
 class Partition(tuple):
@@ -52,10 +52,12 @@ class Partition(tuple):
         return self[i] if i < len(self) else 0
 
     def __add__(self, other) -> "Partition":
-        if not isinstance(other, tuple):
+        # The sum of two partitions is a partition, so it needs no check.
+        if not isinstance(other, Partition):
             return NotImplemented
-        summed = tuple(a + b for a, b in zip_longest(self, other, fillvalue=0))
-        return Partition._unchecked(summed)
+        if len(self) < len(other):
+            self, other = other, self
+        return Partition._unchecked((*map(add, self, other), *self[len(other):]))
 
     def __repr__(self) -> str:
         return "Partition(%s)" % ", ".join(map(str, self))

@@ -2,7 +2,7 @@
 
 A ``SchurSum`` maps partitions to nonzero integer coefficients. Besides
 the ring operations it carries the operator the h2[hn] and h3[hn]
-recurrences are built from: ``odot``, the bilinear product that adds
+recurrences are stated with: ``odot``, the bilinear product that adds
 indexing partitions componentwise (s_mu odot s_lam = s_{mu+lam}).
 Coefficients are ordinary Python integers, so all arithmetic is exact.
 """

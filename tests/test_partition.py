@@ -111,6 +111,14 @@ def test_plus_operator_is_componentwise_not_concat():
     assert Partition([3, 1]) + Partition([2]) == (5, 1)
 
 
+def test_add_rejects_non_partition_operands():
+    # A plain tuple could make an unsorted or non-integer "partition".
+    with pytest.raises(TypeError):
+        Partition([3, 1]) + (0, 5)
+    with pytest.raises(TypeError):
+        Partition([2]) + (1.5,)
+
+
 @given(partition_strategy(), partition_strategy(), partition_strategy())
 def test_add_associative_commutative(a, b, c):
     assert (a + b) + c == a + (b + c)

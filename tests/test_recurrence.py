@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 from plethysm import (
@@ -35,7 +36,7 @@ def test_h2_rec_known_values():
 
 
 def test_h2_rec_equals_closed():
-    for n in range(61):
+    for n in (*range(61), 999, 1000):
         assert h2_rec(n) == h2_closed(n), n
 
 
@@ -48,7 +49,7 @@ def test_two_row_base_cases():
 
 def test_two_row_matches_projected_thrall():
     cache = RecurrenceCache()
-    for n in range(41):
+    for n in (*range(41), 101):
         two_row = SchurSum((lam, c) for lam, c in h3_thrall(n).terms() if len(lam) <= 2)
         assert cache.h3_two_row(n) == two_row, n
 
@@ -110,3 +111,27 @@ def test_concurrent_use_is_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda n: (n, cache.h3(n)), jobs))
     assert all(value == want[n] for n, value in got)
+
+
+def test_dent_difference_is_built_from_full_sums():
+    # The dent check tests a difference of two fully built sums; pin that
+    # difference to the closed formula, which shares no code with the
+    # recurrence's layers, so its positivity is not the recurrence's alone.
+    for n in range(2, 25):
+        assert dent_difference(3, n) == h3_thrall(n) - s(2, 2, 2).odot(h3_thrall(n - 2)), n
+
+
+def test_cold_h3_matches_thrall_beyond_40():
+    for n in (41, 42, 43, 44, 77, 101):  # every residue mod 4
+        assert RecurrenceCache().h3(n) == h3_thrall(n), n
+
+
+def test_cold_h3_memory_stays_quadratic():
+    # A memo that keeps every h3(n - 2k) peaks at about 135 MB at n = 200.
+    tracemalloc.start()
+    try:
+        RecurrenceCache().h3(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"

@@ -6,7 +6,7 @@ so that agreement certifies each of them:
 * ``thrall``     - the classical closed formula for the h3[hn] coefficients;
 * ``recurrence`` - memoized recurrences for h2[hn] and h3[hn];
 * ``oracle``     - brute-force monomial expansion converted to the Schur
-  basis by leading-term peeling.
+  basis by peeling at dominant weights against Kostka numbers.
 
 Also included: Schur positivity checks for the Foulkes differences
 h_n[h_m] - h_m[h_n] and for h_m[hn] - s_(2^m) odot h_m[h(n-2)], and a CLI

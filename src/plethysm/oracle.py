@@ -2,10 +2,15 @@
 
 Expands h_m[h_n] as an honest polynomial in k variables: every multiset
 of m monomials of degree n contributes the product monomial once. The
-result is converted to the Schur basis by peeling leading terms, which is
-valid because the Schur-to-monomial transition is unitriangular: the
-lexicographically greatest exponent vector of s_lam in k >= len(lam)
-variables is lam itself (padded with zeros), with coefficient 1.
+conversion to the Schur basis first checks, term by term, that the
+polynomial is symmetric, and then reads only its dominant (weakly
+decreasing) exponent vectors. There the Schur-to-monomial transition is
+the Kostka matrix, which is unitriangular in descending lex order:
+K(lam, lam) = 1 and K(lam, mu) = 0 unless lam dominates mu. So each
+coefficient is peeled off in that order, subtracting c * K(lam, mu) at
+every later weight mu, with K counted by the horizontal-strip
+(Gelfand-Tsetlin) branching rule. The expansion must then evaluate at
+k ones, by Weyl's dimension formula, to the polynomial's coefficient sum.
 
 Everything here is deliberately independent of the closed formula and the
 recurrence modules, so agreement between the three is meaningful.
@@ -13,11 +18,13 @@ recurrence modules, so agreement between the three is meaningful.
 
 from __future__ import annotations
 
-from functools import cache
-from math import comb
+from collections import Counter
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, factorial, prod
 
-from .partition import Partition
-from .schur import SchurSum
+from .partition import Partition, partitions_of
+from .schur import SchurSum, ssyt_count
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -138,10 +145,12 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     return MonomialPoly(k, terms)
 
 
-@cache
+@lru_cache(maxsize=256)
 def _ssyt_exponents(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
     # Content vectors of all SSYT of shape lam with entries in 1..k,
     # with multiplicities. Callers must not mutate the returned dict.
+    # Only schur_poly calls this: it is the tableau-by-tableau reference
+    # the Kostka numbers of monomial_to_schur are tested against.
     if not lam:
         return {(0,) * k: 1}
     rows = list(lam)
@@ -172,8 +181,9 @@ def _ssyt_exponents(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
 
 
 def clear_schur_poly_cache() -> None:
-    """Drop memoized tableau enumerations (used to benchmark cold starts)."""
+    """Drop memoized tableau enumerations and tableau counts (used to benchmark cold starts)."""
     _ssyt_exponents.cache_clear()
+    ssyt_count.cache_clear()
 
 
 def schur_poly(lam, k: int) -> MonomialPoly:
@@ -188,45 +198,114 @@ def schur_poly(lam, k: int) -> MonomialPoly:
     return MonomialPoly(k, dict(_ssyt_exponents(lam, k)))
 
 
-def monomial_to_schur(poly: MonomialPoly, max_peels: int = _PEEL_CAP) -> SchurSum:
-    """Expand a symmetric polynomial in the Schur basis by leading-term peeling.
+def _kostka(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
+    # Number of SSYT of shape lam and content mu, by the branching rule:
+    # the cells holding the largest entry len(mu) form a horizontal strip
+    # lam/nu of size mu[-1], and the rest is an SSYT of shape nu and
+    # content mu[:-1].
+    key = (lam, mu)
+    if key in memo:
+        return memo[key]
+    if mu:
+        rest = mu[:-1]
+        count = sum(_kostka(nu, rest, memo) for nu in _strips(lam, mu[-1], rest))
+    else:
+        count = 1  # lam has the weight of mu, so it is empty too
+    memo[key] = count
+    return count
 
-    Repeatedly take the lexicographically greatest remaining exponent
-    vector; for symmetric input it is weakly decreasing and names the
-    leading Schur shape, whose coefficient is then subtracted off. Each
-    peel cancels its leading term exactly (Schur polynomials are monic in
-    the lex order), so the leading exponent strictly decreases and the
-    loop terminates. A leading exponent that is not weakly decreasing
-    proves the input was not symmetric and raises ValueError; max_peels
-    caps the loop as a backstop.
-    """
-    work = dict(poly.terms)
-    k = poly.k
-    found: dict[Partition, int] = {}
-    peels = 0
-    previous = None
-    while work:
-        peels += 1
-        if peels > max_peels:
-            raise ValueError(f"gave up after {max_peels} peels; input is likely not symmetric")
-        lead = max(work)
-        if previous is not None and not lead < previous:
-            raise AssertionError("leading exponent failed to decrease")
-        if any(lead[i] < lead[i + 1] for i in range(k - 1)):
+
+def _strips(lam: tuple[int, ...], size: int, rest: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # Every nu with lam/nu a horizontal strip of `size` cells (so
+    # lam[i+1] <= nu[i] <= lam[i]) that dominates rest, which are exactly
+    # the nu with K(nu, rest) > 0. Rows below i can give up lam[i+1] cells
+    # in all, which bounds the cut from below; keeping each prefix sum of
+    # nu at least that of rest bounds it from above.
+    rows = len(lam)
+    floor = [*accumulate(rest), *[sum(rest)] * rows]
+    out: list[tuple[int, ...]] = []
+
+    def take(i: int, left: int, kept: int, prefix: tuple[int, ...]) -> None:
+        if i == rows:
+            out.append(prefix if not prefix or prefix[-1] else prefix[:-1])
+            return
+        top = lam[i]
+        below = lam[i + 1] if i + 1 < rows else 0
+        for cut in range(max(0, left - below), min(top - below, left, kept + top - floor[i]) + 1):
+            take(i + 1, left - cut, kept + top - cut, prefix + (top - cut,))
+
+    take(0, size, 0, ())
+    return out
+
+
+def _check_symmetric(poly: MonomialPoly) -> dict[Partition, int]:
+    # Coefficients at the dominant (weakly decreasing) exponent vectors,
+    # keyed by partition, after checking every term: each exponent vector
+    # must carry the coefficient of its sorted rearrangement, and each
+    # orbit must hold all k!/prod(mult!) of its rearrangements.
+    terms = poly.terms
+    orbits: dict[tuple[int, ...], int] = {}
+    for exps, c in terms.items():
+        lead = tuple(sorted(exps, reverse=True))
+        if terms.get(lead, 0) != c:
             raise ValueError(
-                f"not symmetric: leading exponent {lead} is not weakly decreasing"
+                f"not symmetric: {exps} has coefficient {c}, {lead} has {terms.get(lead, 0)}"
             )
-        previous = lead
-        c = work[lead]
-        lam = Partition._unchecked(tuple(e for e in lead if e))
-        found[lam] = c
-        for exps, mult in _ssyt_exponents(lam, k).items():
-            remaining = work.get(exps, 0) - c * mult
-            if remaining:
-                work[exps] = remaining
-            else:
-                work.pop(exps, None)
-    return SchurSum._wrap(found)
+        orbits[lead] = orbits.get(lead, 0) + 1
+    k = poly.k
+    dominant: dict[Partition, int] = {}
+    for lead, count in orbits.items():
+        full = factorial(k) // prod(map(factorial, Counter(lead).values()))
+        if count != full:
+            raise ValueError(
+                f"not symmetric: {count} of the {full} rearrangements of {lead} are present"
+            )
+        dominant[Partition._unchecked(tuple(e for e in lead if e))] = terms[lead]
+    return dominant
+
+
+def monomial_to_schur(poly: MonomialPoly, max_peels: int = _PEEL_CAP) -> SchurSum:
+    """Expand a symmetric polynomial in the Schur basis by peeling dominant weights.
+
+    First checks that the input is symmetric, on every term: each exponent
+    vector must have the coefficient of its sorted rearrangement and each
+    orbit must be complete; otherwise raises ValueError ("not symmetric").
+    Then only the dominant weights matter. The coefficient of x^mu in s_lam
+    is the Kostka number K(lam, mu), which is 1 at mu = lam and 0 unless
+    lam dominates mu, so it is 0 at every mu after lam in descending lex
+    order. Walking the partitions of each degree with at most k parts in
+    that order, the remaining coefficient at lam is therefore the
+    coefficient of s_lam; peeling it subtracts c * K(lam, mu) at every
+    later mu, including weights absent from the input
+    (x1^2 + x2^2 = s_2 - s_11). K comes from the horizontal-strip
+    branching rule, memoized for this call only. max_peels caps the
+    number of shapes found.
+
+    The result must evaluate at k ones (Weyl's formula) to the input's
+    coefficient sum; AssertionError otherwise.
+    """
+    k = poly.k
+    dominant = _check_symmetric(poly)
+    memo: dict = {}
+    found: dict[Partition, int] = {}
+    for degree in sorted({lam.weight for lam in dominant}, reverse=True):
+        shapes = partitions_of(degree, k)
+        remaining = [dominant.get(mu, 0) for mu in shapes]
+        for i, lam in enumerate(shapes):
+            c = remaining[i]
+            if not c:
+                continue
+            if len(found) == max_peels:
+                raise ValueError(f"gave up after {max_peels} peels")
+            found[lam] = c
+            for j in range(i + 1, len(shapes)):
+                remaining[j] -= c * _kostka(lam, shapes[j], memo)
+    result = SchurSum._wrap(found)
+    if result.eval_at_ones(k) != poly.total():
+        raise AssertionError(
+            f"Schur expansion sums to {result.eval_at_ones(k)} at ones, input to {poly.total()}"
+        )
+    return result
 
 
 def plethysm_oracle(m: int, n: int, k: int | None = None, budget: int | None = DEFAULT_BUDGET) -> SchurSum:

@@ -10,12 +10,12 @@ Coefficients are ordinary Python integers, so all arithmetic is exact.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import cache
+from functools import lru_cache
 
 from .partition import Partition
 
 
-@cache
+@lru_cache(maxsize=4096)
 def ssyt_count(lam: Partition, k: int) -> int:
     """Number of semistandard tableaux of shape ``lam`` with entries <= k.
 

@@ -12,11 +12,13 @@ from plethysm import (
     h2_closed,
     monomial_to_schur,
     monomials_of_degree,
+    partitions_of,
     plethysm_hh_monomial,
     plethysm_oracle,
     s,
     schur_poly,
 )
+from plethysm.oracle import _kostka, _ssyt_exponents
 
 
 @st.composite
@@ -130,6 +132,30 @@ def test_monomial_to_schur_rejects_asymmetric():
         monomial_to_schur(MonomialPoly(2, {(2, 1): 1}))
     with pytest.raises(ValueError, match="not symmetric"):
         monomial_to_schur(MonomialPoly(2, {(1, 2): 1}))
+
+
+def test_monomial_to_schur_peels_absent_weights():
+    # (1, 1) is absent from x1^2 + x2^2 but carries the coefficient of s_11.
+    assert monomial_to_schur(MonomialPoly(2, {(2, 0): 1, (0, 2): 1})) == s(2) - s(1, 1)
+
+
+def test_monomial_to_schur_rejects_asymmetric_with_dominant_lead():
+    with pytest.raises(ValueError, match="not symmetric"):
+        monomial_to_schur(MonomialPoly(2, {(1, 0): 1}))
+    with pytest.raises(ValueError, match="not symmetric"):
+        monomial_to_schur(MonomialPoly(2, {(2, 1): 1, (1, 2): 2}))
+
+
+def test_kostka_matches_tableau_enumeration():
+    for k in range(1, 5):
+        for d in range(10):
+            weights = partitions_of(d, k)
+            for lam in weights:
+                contents = _ssyt_exponents(lam, k)
+                memo = {}
+                for mu in weights:
+                    padded = tuple(mu) + (0,) * (k - len(mu))
+                    assert _kostka(lam, mu, memo) == contents.get(padded, 0), (lam, mu, k)
 
 
 def test_plethysm_oracle_known_values():

@@ -83,7 +83,8 @@ def cmd_expand(args) -> int:
 
 @dataclass
 class VerificationReport:
-    """Outcome of the cross-method comparison sweeps."""
+    """Outcome of the cross-method comparison: mismatches, positivity
+    failures and each route's summed call time."""
 
     oracle_range: tuple[int, int]
     mismatches: list[tuple] = field(default_factory=list)
@@ -96,6 +97,9 @@ class VerificationReport:
 
 
 def _record_mismatches(label: str, n: int, values: dict[str, SchurSum], sink: list) -> None:
+    first, *rest = values.values()
+    if all(total == first for total in rest):
+        return
     support = set()
     for total in values.values():
         support |= total.support()
@@ -111,32 +115,45 @@ def _direct_routes(m: int) -> str:
 
 
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
-    """Expand h3 and h2 by every route, timing each, and compare: the direct
-    routes with one another on [0, max_n], the oracle with all of them on
-    [0, min(oracle_max_n, max_n)]."""
-    ora_hi = min(oracle_max_n, max_n)
-    report = VerificationReport(oracle_range=(0, ora_hi))
-    cache = RecurrenceCache()
-    values: dict[int, dict[str, list[SchurSum]]] = {m: {} for m in _METHODS}
-    runs = [(m, route, expand) for m, routes in _METHODS.items() for route, expand in routes.items()]
-    for m, route, expand in sorted(runs, key=lambda run: run[1] == ORACLE):  # stable: oracle last
-        top = ora_hi if route == ORACLE else max_n
-        start = _now_ms()
-        values[m][route] = [expand(n, cache, budget) for n in range(top + 1)]
-        report.elapsed_ms[f"h{m}_{route}"] = _now_ms() - start
+    """Expand h3 and h2 by every route and compare: the direct routes with
+    one another on [0, max_n], the oracle with all of them on
+    [0, min(oracle_max_n, max_n)].
 
+    One pass over n: every route's value at n is computed, compared and
+    dropped before n + 1, so the sweep holds O(max_n^2) terms, the size of
+    one h3[hn]. ``elapsed_ms["h{m}_{route}"]`` sums the times of that
+    route's calls alone, direct routes first, then the oracle. Mismatches
+    are listed direct routes first, by n, then the oracle's, by m and then
+    n; positivity failures of the recurrence's h3 by n. Within one n,
+    shapes come in descending order.
+    """
+    ora_hi = min(oracle_max_n, max_n)
+    runs = sorted(((f"h{m}_{route}", m, route, expand)
+                   for m, routes in _METHODS.items() for route, expand in routes.items()),
+                  key=lambda run: run[2] == ORACLE)  # stable: oracle last
+    report = VerificationReport(oracle_range=(0, ora_hi),
+                                elapsed_ms=dict.fromkeys((run[0] for run in runs), 0.0))
+    oracle_mismatches: dict[int, list] = {m: [] for m in _METHODS}
+    cache = RecurrenceCache()
     for n in range(max_n + 1):
+        values: dict[int, dict[str, SchurSum]] = {m: {} for m in _METHODS}
+        for key, m, route, expand in runs:
+            if route == ORACLE and n > ora_hi:
+                continue
+            start = _now_ms()
+            values[m][route] = expand(n, cache, budget)
+            report.elapsed_ms[key] += _now_ms() - start
         for m, by_route in values.items():
             _record_mismatches(f"h{m} {_direct_routes(m)}", n,
-                               {route: v[n] for route, v in by_route.items() if route != ORACLE},
+                               {route: v for route, v in by_route.items() if route != ORACLE},
                                report.mismatches)
-        for lam, c in values[3]["recurrence"][n].terms():
-            if c < 0 or len(lam) > 3:
-                report.positivity_failures.append(("h3 nonnegative, at most 3 rows", n, list(lam), c))
-    for m, by_route in values.items():
-        for n in range(ora_hi + 1):
-            _record_mismatches(f"h{m} vs {ORACLE}", n,
-                               {route: v[n] for route, v in by_route.items()}, report.mismatches)
+            if ORACLE in by_route:
+                _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, oracle_mismatches[m])
+        bad = [(lam, c) for lam, c in values[3]["recurrence"]._terms.items() if c < 0 or len(lam) > 3]
+        for lam, c in sorted(bad, reverse=True):
+            report.positivity_failures.append(("h3 nonnegative, at most 3 rows", n, list(lam), c))
+    for sink in oracle_mismatches.values():
+        report.mismatches.extend(sink)
     return report
 
 

@@ -29,7 +29,13 @@ h3[hn] is exactly one shifted term of one layer. The cache stores only the
 layers T(j), each of O(j) terms, and assembles h3[hn] and h2[hn] by
 shifting, in time and memory proportional to their size: O(n^2) for a cold
 h3[hn], O(n) for h2[hn]. D is read straight from T and never stored.
+
+Of the assembled sums the cache keeps only those at the three largest n
+it has built, so a sweep over n = 0, 1, ..., N holds O(N^2) terms: the
+layers (O(N^2) in all) and three h3 sums.
 """
+
+import threading
 
 from .partition import Partition
 from .schur import SchurSum, s
@@ -37,6 +43,11 @@ from .schur import SchurSum, s
 _S22 = s(2, 2)
 _S222 = s(2, 2, 2)
 _SHIFT_66 = Partition((6, 6))
+
+# Built h3 (and h2) sums a cache keeps: those at the three largest n. A
+# sweep up in n that reads h3(n) and then h3(n - 2), as the dent check
+# does, finds h3(n - 2) still there.
+_KEPT_SUMS = 3
 
 
 def h2_closed(n: int) -> SchurSum:
@@ -47,8 +58,11 @@ def h2_closed(n: int) -> SchurSum:
 
 
 def _two_row_step(previous: dict[Partition, int], j: int) -> dict[Partition, int]:
-    # T(j) = s_66 odot T(j-4) + s_(3j) + sum_{k=2}^{j} s_(3j-k, k).
-    terms = {lam + _SHIFT_66: c for lam, c in previous.items()}
+    # T(j) = s_66 odot T(j-4) + s_(3j) + sum_{k=2}^{j} s_(3j-k, k). A
+    # two-part term shifts to (a + 6, b + 6) directly, at half the cost of
+    # Partition.__add__; the one shorter term of a layer takes +.
+    terms = {(Partition._unchecked((lam[0] + 6, lam[1] + 6)) if len(lam) == 2 else lam + _SHIFT_66): c
+             for lam, c in previous.items()}
     strip = (Partition((3 * j,)), *(Partition._unchecked((3 * j - k, k)) for k in range(2, j + 1)))
     for lam in strip:
         terms[lam] = terms.get(lam, 0) + 1
@@ -59,26 +73,32 @@ def _h3_layers(n: int):
     # (j, mu) with h3[hn] = sum of s_mu odot T(j): for each i, the two
     # halves of D(n - 2i) shifted by (2i, 2i, 2i). Third parts 2i and 2i + 1.
     for i in range(n // 2 + 1):
-        yield n - 2 * i, Partition((2 * i,) * 3)
-        yield n - 2 * i - 3, Partition((2 * i + 4, 2 * i + 4, 2 * i + 1))
+        yield n - 2 * i, Partition._unchecked((2 * i,) * 3 if i else ())
+        yield n - 2 * i - 3, Partition._unchecked((2 * i + 4, 2 * i + 4, 2 * i + 1))
 
 
 class RecurrenceCache:
     """Memo tables for the h2 and h3 recurrences.
 
-    The layers T(j) are filled bottom-up; h3[hn] and h2[hn] are stored
-    only for the n a caller asks for. Values are never mutated once
-    stored, so a cache hit always equals a fresh recomputation. Concurrent
-    use is safe under CPython: entries are fully built immutable sums
-    assigned atomically, and recomputing an entry is idempotent.
+    The layers T(j) are filled bottom-up and kept. h3[hn] and h2[hn] are
+    built only for the n a caller asks for, and each table keeps the sums
+    at the three largest n it has built, evicting the smallest n beyond
+    that: a sweep up in n holds O(n^2) terms, not the O(n^3) of every
+    h3[hn], and still hits on h3(n - 2) after h3(n). Values are never
+    mutated once stored, so a cache hit always equals a fresh
+    recomputation. Concurrent use is safe: layers and sums are built
+    outside any lock (recomputing one is idempotent, and a layer entry is
+    fully built before it is assigned), and storing a sum together with
+    its eviction holds the cache's lock.
     """
 
-    __slots__ = ("_h2", "_h3", "_two_row")
+    __slots__ = ("_h2", "_h3", "_two_row", "_lock")
 
     def __init__(self) -> None:
         self._h2: dict[int, SchurSum] = {}
         self._h3: dict[int, SchurSum] = {}
         self._two_row: dict[int, dict[Partition, int]] = {}
+        self._lock = threading.Lock()
 
     def _layer(self, n: int) -> dict[Partition, int]:
         # The terms of T(n), filling T(j) for j = n % 4, n % 4 + 4, ..., n
@@ -92,14 +112,42 @@ class RecurrenceCache:
                     table[j] = _two_row_step(self._layer(j - 4), j)
         return table[n]
 
+    def _kept(self, table: dict[int, SchurSum], n: int, build) -> SchurSum:
+        # table[n], built by build(n) on a miss; the table then keeps the
+        # _KEPT_SUMS largest n.
+        value = table.get(n)
+        if value is None:
+            value = build(n)
+            with self._lock:
+                table[n] = value
+                if len(table) > _KEPT_SUMS:
+                    del table[min(table)]
+        return value
+
+    def _build_h2(self, n: int) -> SchurSum:
+        return SchurSum._wrap({
+            Partition((2 * n - 4 * i,)) + Partition((2 * i, 2 * i)): 1 for i in range(n // 2 + 1)
+        })
+
+    def _build_h3(self, n: int) -> SchurSum:
+        # A layer term has at most two parts and every nonempty shift
+        # three, so a two-part term shifts to (a + x, b + y, z) directly,
+        # as in _two_row_step.
+        terms: dict[Partition, int] = {}
+        for j, shift in _h3_layers(n):
+            layer = self._layer(j)
+            if not shift:
+                terms.update(layer)
+                continue
+            x, y, z = shift
+            for lam, c in layer.items():
+                terms[Partition._unchecked((lam[0] + x, lam[1] + y, z)) if len(lam) == 2 else lam + shift] = c
+        return SchurSum._wrap(terms)
+
     def h2(self, n: int) -> SchurSum:
         if n < 0:
             return SchurSum.zero()
-        if n not in self._h2:
-            self._h2[n] = SchurSum._wrap({
-                Partition((2 * n - 4 * i,)) + Partition((2 * i, 2 * i)): 1 for i in range(n // 2 + 1)
-            })
-        return self._h2[n]
+        return self._kept(self._h2, n, self._build_h2)
 
     def h3_two_row(self, n: int) -> SchurSum:
         return SchurSum._wrap(self._layer(n))
@@ -107,11 +155,7 @@ class RecurrenceCache:
     def h3(self, n: int) -> SchurSum:
         if n < 0:
             return SchurSum.zero()
-        if n not in self._h3:
-            self._h3[n] = SchurSum._wrap({
-                lam + shift: c for j, shift in _h3_layers(n) for lam, c in self._layer(j).items()
-            })
-        return self._h3[n]
+        return self._kept(self._h3, n, self._build_h3)
 
 
 _DEFAULT_CACHE = RecurrenceCache()

@@ -5,9 +5,15 @@ three parts) depends only on two statistics of lam: the gap statistic
 min(1 + lam1 - lam2, 1 + lam2 - lam3) and the parity of lam2. Thrall's
 classical formula expresses it in closed form; an equivalent recursion
 steps the gap statistic down by six, adding one per step.
+
+``h3_thrall(n)`` walks the triples a >= b >= c >= 0 with a + b + c = 3n
+directly, in descending lex order, and reads each coefficient off the
+gap and the parity of b: O(n^2) time, one pass, no shape re-checked.
 """
 
-from .partition import Partition, min_gap, partitions_of
+# partitions_of is not used here. It stays importable from this module
+# because the per-layer trace in perfbench/spans.py hooks it by this name.
+from .partition import Partition, min_gap, partitions_of  # noqa: F401
 from .schur import SchurSum
 
 
@@ -43,6 +49,17 @@ def _check_shape(lam) -> Partition:
     return lam
 
 
+def _closed(gap: int, parity: int) -> int:
+    # Thrall's formula at gap statistic ``gap`` and second-part parity
+    # ``parity``; see h3_coeff_closed.
+    rounded = gap + (0, 2, -2)[gap % 3]
+    if rounded % 2 == 0:
+        return rounded // 6
+    if parity == 0:
+        return (rounded + 3) // 6
+    return (rounded - 3) // 6
+
+
 def h3_coeff_closed(lam) -> int:
     """Coefficient of s_lam in h3[hn] by the closed formula, n = |lam| / 3.
 
@@ -52,13 +69,7 @@ def h3_coeff_closed(lam) -> int:
     and (rounded - 3)/6 for odd lam2.
     """
     lam = _check_shape(lam)
-    gap = min_gap(lam)
-    rounded = gap + (0, 2, -2)[gap % 3]
-    if rounded % 2 == 0:
-        return rounded // 6
-    if lam.part(1) % 2 == 0:
-        return (rounded + 3) // 6
-    return (rounded - 3) // 6
+    return _closed(min_gap(lam), lam.part(1) % 2)
 
 
 def h3_coeff_recursive(lam) -> int:
@@ -71,9 +82,14 @@ def h3_thrall(n: int) -> SchurSum:
     """Schur expansion of h3[hn], assembled from the closed formula."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    w = 3 * n
     terms = {}
-    for lam in partitions_of(3 * n, 3):
-        c = h3_coeff_closed(lam)
-        if c:
-            terms[lam] = c
+    for a in range(w, -(-w // 3) - 1, -1):  # down to ceil(w / 3)
+        # b from min(a, w - a) down to ceil((w - a) / 2), so c = w - a - b <= b.
+        for b in range(min(a, w - a), (w - a + 1) // 2 - 1, -1):
+            c = w - a - b
+            coeff = _closed(min(1 + a - b, 1 + b - c), b % 2)
+            if coeff:
+                parts = (a, b, c) if c else (a, b) if b else (a,) if a else ()
+                terms[Partition._unchecked(parts)] = coeff
     return SchurSum._wrap(terms)

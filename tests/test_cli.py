@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,31 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH" in out
     assert "n=5" in out and "[15]" in out
+
+
+def _traced(fn):
+    """fn() and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_stays_quadratic():
+    # Keeping every route's value at every n peaks at about 29 MB.
+    report, peak = _traced(lambda: cli.run_verify(80, 4))
+    assert report.passed
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_dent_memory_stays_quadratic(capsys):
+    # A cache that keeps every h3(n) peaks at about 15 MB.
+    code, peak = _traced(lambda: main(["dent", "--m", "3", "--max-n", "80"]))
+    assert code == 0
+    assert capsys.readouterr().out.endswith("Schur-positive for 2 <= n <= 80)\n")
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_foulkes_positive(capsys):

@@ -9,6 +9,8 @@ import re
 
 import pytest
 
+import plethysm.cli as cli
+from plethysm import RecurrenceCache, SchurSum, s
 from plethysm.cli import main
 
 _TIMING = re.compile(r" *\d+\.\d+")
@@ -88,3 +90,127 @@ def test_cli_golden(capsys, argv, code, stdout):
     captured = capsys.readouterr()
     assert _TIMING.sub("<t>", captured.out) == stdout
     assert captured.err == (USAGE_ERROR if code else "")
+
+
+# Failing runs of `verify --max-n 8 --oracle-max-n 4`, each route's fault
+# injected by adding a fixed SchurSum to its value at chosen n. The output
+# pins the order of the failure lines: direct-route mismatches by n (h3
+# before h2 at equal n), then oracle mismatches by m and then n, then
+# positivity failures by n; within one n, shapes in descending order.
+
+THRALL_FAULTS = {3: s(3, 3, 3) - s(7, 2), 7: s(12, 9) + s(21)}
+H2_CLOSED_FAULTS = {2: s(3, 1), 6: -s(12)}
+ORACLE_FAULTS = {(3, 4): -s(12), (3, 1): s(2, 1), (2, 2): s(2, 2)}
+RECURRENCE_FAULTS = {3: s(3, 2, 2, 1, 1) - 2 * s(3, 3, 3), 5: -2 * s(15)}
+
+
+def _with_faults(route, faults, key):
+    def faulty(*args, **kwargs):
+        total = route(*args, **kwargs)
+        return total + faults.get(key(*args), SchurSum.zero())
+    return faulty
+
+
+def _inject(monkeypatch, routes):
+    if "thrall" in routes:
+        monkeypatch.setattr(cli, "h3_thrall", _with_faults(cli.h3_thrall, THRALL_FAULTS, lambda n: n))
+    if "closed" in routes:
+        monkeypatch.setattr(cli, "h2_closed", _with_faults(cli.h2_closed, H2_CLOSED_FAULTS, lambda n: n))
+    if "oracle" in routes:
+        monkeypatch.setattr(cli, "plethysm_oracle",
+                            _with_faults(cli.plethysm_oracle, ORACLE_FAULTS, lambda m, n: (m, n)))
+    if "recurrence" in routes:
+        monkeypatch.setattr(RecurrenceCache, "h3",
+                            _with_faults(RecurrenceCache.h3, RECURRENCE_FAULTS, lambda cache, n: n))
+
+
+VERIFY_HEADER = """\
+h3: recurrence vs thrall on n in [0,8], vs oracle on n in [0,4]
+h2: recurrence vs closed on n in [0,8], vs oracle on n in [0,4]
+  h3_recurrence:<t> ms
+  h3_thrall:<t> ms
+  h2_recurrence:<t> ms
+  h2_closed:<t> ms
+  h3_oracle:<t> ms
+  h2_oracle:<t> ms
+"""
+
+FAILING_VERIFY = [
+    (
+        ("thrall",),
+        """\
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[7, 2]: recurrence=1 thrall=0
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 3, 3]: recurrence=0 thrall=1
+MISMATCH [h3 recurrence vs thrall] n=7 lambda=[21]: recurrence=1 thrall=2
+MISMATCH [h3 recurrence vs thrall] n=7 lambda=[12, 9]: recurrence=1 thrall=2
+MISMATCH [h3 vs oracle] n=3 lambda=[7, 2]: recurrence=1 thrall=0 oracle=1
+MISMATCH [h3 vs oracle] n=3 lambda=[3, 3, 3]: recurrence=0 thrall=1 oracle=0
+FAIL (6 mismatches, 0 positivity failures)
+""",
+    ),
+    (
+        ("closed",),
+        """\
+MISMATCH [h2 recurrence vs closed] n=2 lambda=[3, 1]: recurrence=0 closed=1
+MISMATCH [h2 recurrence vs closed] n=6 lambda=[12]: recurrence=1 closed=0
+MISMATCH [h2 vs oracle] n=2 lambda=[3, 1]: recurrence=0 closed=1 oracle=0
+FAIL (3 mismatches, 0 positivity failures)
+""",
+    ),
+    (
+        ("oracle",),
+        """\
+MISMATCH [h3 vs oracle] n=1 lambda=[2, 1]: recurrence=0 thrall=0 oracle=1
+MISMATCH [h3 vs oracle] n=4 lambda=[12]: recurrence=1 thrall=1 oracle=0
+MISMATCH [h2 vs oracle] n=2 lambda=[2, 2]: recurrence=1 closed=1 oracle=2
+FAIL (3 mismatches, 0 positivity failures)
+""",
+    ),
+    (
+        ("recurrence",),
+        """\
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=0
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0
+MISMATCH [h3 recurrence vs thrall] n=5 lambda=[15]: recurrence=-1 thrall=1
+MISMATCH [h3 vs oracle] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=0 oracle=0
+MISMATCH [h3 vs oracle] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0 oracle=0
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 3, 3] coeff=-2
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 2, 2, 1, 1] coeff=1
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=5 lambda=[15] coeff=-1
+FAIL (5 mismatches, 3 positivity failures)
+""",
+    ),
+    (
+        ("thrall", "closed", "oracle", "recurrence"),
+        """\
+MISMATCH [h2 recurrence vs closed] n=2 lambda=[3, 1]: recurrence=0 closed=1
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[7, 2]: recurrence=1 thrall=0
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=1
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0
+MISMATCH [h3 recurrence vs thrall] n=5 lambda=[15]: recurrence=-1 thrall=1
+MISMATCH [h2 recurrence vs closed] n=6 lambda=[12]: recurrence=1 closed=0
+MISMATCH [h3 recurrence vs thrall] n=7 lambda=[21]: recurrence=1 thrall=2
+MISMATCH [h3 recurrence vs thrall] n=7 lambda=[12, 9]: recurrence=1 thrall=2
+MISMATCH [h3 vs oracle] n=1 lambda=[2, 1]: recurrence=0 thrall=0 oracle=1
+MISMATCH [h3 vs oracle] n=3 lambda=[7, 2]: recurrence=1 thrall=0 oracle=1
+MISMATCH [h3 vs oracle] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=1 oracle=0
+MISMATCH [h3 vs oracle] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0 oracle=0
+MISMATCH [h3 vs oracle] n=4 lambda=[12]: recurrence=1 thrall=1 oracle=0
+MISMATCH [h2 vs oracle] n=2 lambda=[3, 1]: recurrence=0 closed=1 oracle=0
+MISMATCH [h2 vs oracle] n=2 lambda=[2, 2]: recurrence=1 closed=1 oracle=2
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 3, 3] coeff=-2
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 2, 2, 1, 1] coeff=1
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=5 lambda=[15] coeff=-1
+FAIL (15 mismatches, 3 positivity failures)
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("routes, failures", FAILING_VERIFY, ids=["+".join(f[0]) for f in FAILING_VERIFY])
+def test_verify_failure_golden(capsys, monkeypatch, routes, failures):
+    _inject(monkeypatch, routes)
+    assert main(["verify", "--max-n", "8", "--oracle-max-n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert _TIMING.sub("<t>", captured.out) == VERIFY_HEADER + failures
+    assert captured.err == ""

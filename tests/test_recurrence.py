@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -111,6 +112,38 @@ def test_concurrent_use_is_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda n: (n, cache.h3(n)), jobs))
     assert all(value == want[n] for n, value in got)
+
+
+def test_cache_keeps_three_sums_after_sweep():
+    # The dent sweep's order: h3(n), then h3(n - 2), which must be a hit.
+    cache = RecurrenceCache()
+    first = {}
+    for n in range(2, 41):
+        first[n] = cache.h3(n)
+        cache.h2(n)
+        if n - 2 in first:
+            assert cache.h3(n - 2) is first[n - 2], n
+        else:
+            cache.h3(n - 2)
+    assert sorted(cache._h3) == sorted(cache._h2) == [38, 39, 40]
+
+
+def test_concurrent_eviction_keeps_bound():
+    # Threads store and evict at once; a lost update would leave more
+    # than three sums or raise KeyError on a doubly evicted n.
+    cache = RecurrenceCache()
+    want = {n: RecurrenceCache().h3(n) for n in range(31)}
+    jobs = [n for n in range(31) for _ in range(8)]
+    random.Random(11).shuffle(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda n: (n, cache.h3(n)), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(value == want[n] for n, value in got)
+    assert sorted(cache._h3) == [28, 29, 30]
 
 
 def test_dent_difference_is_built_from_full_sums():

@@ -96,3 +96,15 @@ def test_dimension_identity_small():
     for n in range(7):
         want = comb(comb(n + 2, 2) + 2, 3)
         assert h3_thrall(n).eval_at_ones(3) == want
+
+
+def test_h3_thrall_matches_shape_enumeration():
+    # The triple walk against the closed formula at every shape of
+    # partitions_of, zero coefficients dropped.
+    for n in (*range(61), 101, 160):
+        want = {}
+        for lam in partitions_of(3 * n, 3):
+            c = h3_coeff_closed(lam)
+            if c:
+                want[lam] = c
+        assert h3_thrall(n) == SchurSum(want), n

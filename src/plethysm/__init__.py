@@ -4,7 +4,7 @@ Three independent routes to the same expansions, kept deliberately apart
 so that agreement certifies each of them:
 
 * ``thrall``     - the classical closed formula for the h3[hn] coefficients;
-* ``recurrence`` - memoized recurrences for h2[hn] and h3[hn];
+* ``recurrence`` - the recurrences for h2[hn] and h3[hn], h3 memoized;
 * ``oracle``     - brute-force monomial expansion converted to the Schur
   basis by peeling at dominant weights against Kostka numbers.
 

@@ -28,8 +28,6 @@ from .schur import SchurSum, ssyt_count
 
 DEFAULT_BUDGET = 50_000_000
 
-_PEEL_CAP = 1_000_000
-
 
 class BudgetExceededError(RuntimeError):
     """A brute-force expansion would enumerate too many multisets."""
@@ -64,10 +62,6 @@ class MonomialPoly:
     def total(self) -> int:
         """Sum of all coefficients, i.e. the value at all-ones."""
         return sum(self.terms.values())
-
-    def permute_vars(self, perm: tuple[int, ...]) -> "MonomialPoly":
-        """Apply a permutation of the variables; position i takes exponent perm[i]."""
-        return MonomialPoly(self.k, {tuple(e[p] for p in perm): c for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialPoly):
@@ -238,11 +232,12 @@ def _strips(lam: tuple[int, ...], size: int, rest: tuple[int, ...]) -> list[tupl
     return out
 
 
-def _check_symmetric(poly: MonomialPoly) -> dict[Partition, int]:
+def _check_symmetric(poly: MonomialPoly) -> dict[tuple[int, ...], int]:
     # Coefficients at the dominant (weakly decreasing) exponent vectors,
-    # keyed by partition, after checking every term: each exponent vector
-    # must carry the coefficient of its sorted rearrangement, and each
-    # orbit must hold all k!/prod(mult!) of its rearrangements.
+    # keyed by canonical tuple (zeros dropped), after checking every term:
+    # each exponent vector must carry the coefficient of its sorted
+    # rearrangement, and each orbit must hold all k!/prod(mult!) of its
+    # rearrangements.
     terms = poly.terms
     orbits: dict[tuple[int, ...], int] = {}
     for exps, c in terms.items():
@@ -253,18 +248,18 @@ def _check_symmetric(poly: MonomialPoly) -> dict[Partition, int]:
             )
         orbits[lead] = orbits.get(lead, 0) + 1
     k = poly.k
-    dominant: dict[Partition, int] = {}
+    dominant: dict[tuple[int, ...], int] = {}
     for lead, count in orbits.items():
         full = factorial(k) // prod(map(factorial, Counter(lead).values()))
         if count != full:
             raise ValueError(
                 f"not symmetric: {count} of the {full} rearrangements of {lead} are present"
             )
-        dominant[Partition._unchecked(tuple(e for e in lead if e))] = terms[lead]
+        dominant[lead[:k - lead.count(0)]] = terms[lead]
     return dominant
 
 
-def monomial_to_schur(poly: MonomialPoly, max_peels: int = _PEEL_CAP) -> SchurSum:
+def monomial_to_schur(poly: MonomialPoly) -> SchurSum:
     """Expand a symmetric polynomial in the Schur basis by peeling dominant weights.
 
     First checks that the input is symmetric, on every term: each exponent
@@ -278,8 +273,7 @@ def monomial_to_schur(poly: MonomialPoly, max_peels: int = _PEEL_CAP) -> SchurSu
     coefficient of s_lam; peeling it subtracts c * K(lam, mu) at every
     later mu, including weights absent from the input
     (x1^2 + x2^2 = s_2 - s_11). K comes from the horizontal-strip
-    branching rule, memoized for this call only. max_peels caps the
-    number of shapes found.
+    branching rule, memoized for this call only.
 
     The result must evaluate at k ones (Weyl's formula) to the input's
     coefficient sum; AssertionError otherwise.
@@ -288,15 +282,13 @@ def monomial_to_schur(poly: MonomialPoly, max_peels: int = _PEEL_CAP) -> SchurSu
     dominant = _check_symmetric(poly)
     memo: dict = {}
     found: dict[Partition, int] = {}
-    for degree in sorted({lam.weight for lam in dominant}, reverse=True):
+    for degree in sorted(set(map(sum, dominant)), reverse=True):
         shapes = partitions_of(degree, k)
         remaining = [dominant.get(mu, 0) for mu in shapes]
         for i, lam in enumerate(shapes):
             c = remaining[i]
             if not c:
                 continue
-            if len(found) == max_peels:
-                raise ValueError(f"gave up after {max_peels} peels")
             found[lam] = c
             for j in range(i + 1, len(shapes)):
                 remaining[j] -= c * _kostka(lam, shapes[j], memo)

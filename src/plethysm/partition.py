@@ -37,11 +37,6 @@ class Partition(tuple):
         # Fast path for callers that already guarantee canonical form.
         return tuple.__new__(cls, parts)
 
-    @classmethod
-    def from_unsorted(cls, parts: Iterable[int]) -> "Partition":
-        """Build a partition from parts given in any order."""
-        return cls(sorted(parts, reverse=True))
-
     @property
     def weight(self) -> int:
         """Sum of the parts."""

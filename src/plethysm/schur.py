@@ -5,18 +5,24 @@ the ring operations it carries the operator the h2[hn] and h3[hn]
 recurrences are stated with: ``odot``, the bilinear product that adds
 indexing partitions componentwise (s_mu odot s_lam = s_{mu+lam}).
 Coefficients are ordinary Python integers, so all arithmetic is exact.
+
+Keys are canonical plain tuples (weakly decreasing, positive parts); a
+``Partition`` hashes and compares like one, so it is a valid key too. It
+validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
+``from_json_terms``, and only ``terms()`` and ``support()`` hand it out.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from operator import add
 
 from .partition import Partition
 
 
 @lru_cache(maxsize=4096)
-def ssyt_count(lam: Partition, k: int) -> int:
+def ssyt_count(lam: tuple[int, ...], k: int) -> int:
     """Number of semistandard tableaux of shape ``lam`` with entries <= k.
 
     Equals the Schur polynomial s_lam evaluated at k ones. Computed by the
@@ -25,11 +31,12 @@ def ssyt_count(lam: Partition, k: int) -> int:
     """
     if len(lam) > k:
         return 0
+    parts = (*lam, *(0,) * (k - len(lam)))
     num = 1
     den = 1
     for i in range(k):
         for j in range(i + 1, k):
-            num *= lam.part(i) - lam.part(j) + j - i
+            num *= parts[i] - parts[j] + j - i
             den *= j - i
     quotient, remainder = divmod(num, den)
     if remainder:
@@ -49,7 +56,7 @@ class SchurSum:
 
     def __init__(self, terms: Mapping | Iterable = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Partition, int] = {}
+        data: dict[tuple[int, ...], int] = {}
         for lam, coeff in items:
             if isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise ValueError(f"coefficients must be integers, got {coeff!r}")
@@ -63,8 +70,8 @@ class SchurSum:
         self._terms = data
 
     @classmethod
-    def _wrap(cls, terms: dict[Partition, int]) -> "SchurSum":
-        # Internal constructor; terms must be canonical and zero-free.
+    def _wrap(cls, terms: dict[tuple[int, ...], int]) -> "SchurSum":
+        # Internal constructor; keys must be canonical, coefficients nonzero.
         obj = cls.__new__(cls)
         obj._terms = terms
         return obj
@@ -75,7 +82,7 @@ class SchurSum:
 
     @classmethod
     def one(cls) -> "SchurSum":
-        return cls._wrap({Partition(): 1})
+        return cls._wrap({(): 1})
 
     def coeff(self, lam) -> int:
         """Coefficient of s_lam, zero if absent."""
@@ -85,10 +92,10 @@ class SchurSum:
 
     def terms(self) -> list[tuple[Partition, int]]:
         """Terms as (partition, coefficient) pairs, descending lex order."""
-        return sorted(self._terms.items(), key=lambda item: item[0], reverse=True)
+        return [(Partition._unchecked(lam), c) for lam, c in sorted(self._terms.items(), reverse=True)]
 
     def support(self) -> set[Partition]:
-        return set(self._terms)
+        return {Partition._unchecked(lam) for lam in self._terms}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -132,10 +139,11 @@ class SchurSum:
 
     def odot(self, other: "SchurSum") -> "SchurSum":
         """Bilinear product adding the indexing partitions componentwise."""
-        out: dict[Partition, int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for lam, c in self._terms.items():
             for mu, d in other._terms.items():
-                nu = lam + mu
+                # One of the two tails is empty.
+                nu = (*map(add, lam, mu), *lam[len(mu):], *mu[len(lam):])
                 merged = out.get(nu, 0) + c * d
                 if merged:
                     out[nu] = merged
@@ -155,7 +163,7 @@ class SchurSum:
 
     def json_terms(self) -> list[dict]:
         """Terms in the wire format: [{"lambda": [...], "coeff": n}, ...]."""
-        return [{"lambda": list(lam), "coeff": c} for lam, c in self.terms()]
+        return [{"lambda": list(lam), "coeff": c} for lam, c in sorted(self._terms.items(), reverse=True)]
 
     @classmethod
     def from_json_terms(cls, items: Iterable[Mapping]) -> "SchurSum":
@@ -165,7 +173,7 @@ class SchurSum:
         if not self._terms:
             return "0"
         rendered = []
-        for lam, c in self.terms():
+        for lam, c in sorted(self._terms.items(), reverse=True):
             magnitude = abs(c)
             if lam:
                 body = "s[%s]" % ",".join(map(str, lam))

@@ -90,6 +90,5 @@ def h3_thrall(n: int) -> SchurSum:
             c = w - a - b
             coeff = _closed(min(1 + a - b, 1 + b - c), b % 2)
             if coeff:
-                parts = (a, b, c) if c else (a, b) if b else (a,) if a else ()
-                terms[Partition._unchecked(parts)] = coeff
+                terms[(a, b, c) if c else (a, b) if b else (a,) if a else ()] = coeff
     return SchurSum._wrap(terms)

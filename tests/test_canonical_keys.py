@@ -1,0 +1,43 @@
+"""Every sum a route builds is keyed by canonical partitions.
+
+Inside a ``SchurSum`` the keys are plain tuples built by the routes
+themselves, where ``+`` would concatenate instead of adding, so nothing but
+these tests checks that they are partitions: weakly decreasing, positive,
+no zeros.
+"""
+
+import pytest
+
+from plethysm import Partition, RecurrenceCache, dent_difference
+from plethysm.cli import ORACLE, _METHODS
+
+MAX_N = 30
+ORACLE_MAX_N = 8
+
+
+def assert_canonical(total):
+    for lam in total._terms:
+        assert tuple(Partition(lam)) == tuple(lam), lam
+    for lam, _ in total.terms():
+        assert type(lam) is Partition and tuple(Partition(lam)) == tuple(lam), lam
+    assert all(type(lam) is Partition for lam in total.support())
+
+
+@pytest.mark.parametrize("m, route", [(m, route) for m, routes in _METHODS.items() for route in routes])
+def test_route_keys_are_canonical(m, route):
+    cache = RecurrenceCache()
+    for n in range((ORACLE_MAX_N if route == ORACLE else MAX_N) + 1):
+        assert_canonical(_METHODS[m][route](n, cache, None))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dent_difference_keys_are_canonical(m):
+    cache = RecurrenceCache()
+    for n in range(MAX_N + 1):
+        assert_canonical(dent_difference(m, n, cache))
+
+
+def test_h3_two_row_keys_are_canonical():
+    cache = RecurrenceCache()
+    for n in range(MAX_N + 1):
+        assert_canonical(cache.h3_two_row(n))

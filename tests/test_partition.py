@@ -58,10 +58,6 @@ def test_rejects_bool_parts():
         Partition([2, False])
 
 
-def test_from_unsorted():
-    assert Partition.from_unsorted([1, 4, 0, 2]) == (4, 2, 1)
-
-
 def test_partitions_of_6_with_3_parts():
     assert partitions_of(6, 3) == [
         (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2),

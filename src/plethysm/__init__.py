@@ -4,7 +4,8 @@ Three independent routes to the same expansions, kept deliberately apart
 so that agreement certifies each of them:
 
 * ``thrall``     - the classical closed formula for the h3[hn] coefficients;
-* ``recurrence`` - the recurrences for h2[hn] and h3[hn], h3 memoized;
+* ``recurrence`` - the recurrences for h2[hn] and h3[hn], h3 memoized in
+  a caller-owned ``RecurrenceCache``;
 * ``oracle``     - brute-force monomial expansion converted to the Schur
   basis by peeling at dominant weights against Kostka numbers.
 

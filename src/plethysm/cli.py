@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    clear_schur_poly_cache,
     foulkes_difference,
     plethysm_oracle,
 )
@@ -220,8 +219,6 @@ def cmd_dent(args) -> int:
 class BenchResult:
     """Per-n best-of-repeats timings in milliseconds, keyed by method name."""
 
-    max_n: int
-    repeats: int
     millis: dict[tuple[int, str], float] = field(default_factory=dict)
 
     def total(self, method: str) -> float:
@@ -233,8 +230,9 @@ class BenchResult:
 
 def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
               budget: int | None = DEFAULT_BUDGET) -> BenchResult:
-    """Time every h3 route on n >= 1; each repeat starts every cache cold."""
-    result = BenchResult(max_n=max_n, repeats=repeats)
+    """Time every h3 route on n >= 1. Each repeat starts cold: it builds its
+    own RecurrenceCache, and the package keeps nothing between calls."""
+    result = BenchResult()
 
     def record(n: int, method: str, ms: float) -> None:
         key = (n, method)
@@ -244,7 +242,6 @@ def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
     oracle_hi = min(oracle_max_n, max_n)
     for _ in range(repeats):
         cache = RecurrenceCache()
-        clear_schur_poly_cache()
         for route, expand in _METHODS[3].items():
             for n in range(1, (oracle_hi if route == ORACLE else max_n) + 1):
                 try:

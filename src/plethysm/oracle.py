@@ -13,18 +13,18 @@ every later weight mu, with K counted by the horizontal-strip
 k ones, by Weyl's dimension formula, to the polynomial's coefficient sum.
 
 Everything here is deliberately independent of the closed formula and the
-recurrence modules, so agreement between the three is meaningful.
+recurrence modules, so agreement between the three is meaningful. Nothing
+is kept between calls: the Kostka memo lives for one conversion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
 
 from .partition import Partition, partitions_of
-from .schur import SchurSum, ssyt_count
+from .schur import SchurSum
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -139,12 +139,11 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     return MonomialPoly(k, terms)
 
 
-@lru_cache(maxsize=256)
 def _ssyt_exponents(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
     # Content vectors of all SSYT of shape lam with entries in 1..k,
-    # with multiplicities. Callers must not mutate the returned dict.
-    # Only schur_poly calls this: it is the tableau-by-tableau reference
-    # the Kostka numbers of monomial_to_schur are tested against.
+    # with multiplicities. Only schur_poly calls this: it is the
+    # tableau-by-tableau reference the Kostka numbers of monomial_to_schur
+    # are tested against.
     if not lam:
         return {(0,) * k: 1}
     rows = list(lam)
@@ -174,12 +173,6 @@ def _ssyt_exponents(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def clear_schur_poly_cache() -> None:
-    """Drop memoized tableau enumerations and tableau counts (used to benchmark cold starts)."""
-    _ssyt_exponents.cache_clear()
-    ssyt_count.cache_clear()
-
-
 def schur_poly(lam, k: int) -> MonomialPoly:
     """The Schur polynomial s_lam in k variables, by SSYT enumeration.
 
@@ -189,7 +182,7 @@ def schur_poly(lam, k: int) -> MonomialPoly:
         lam = Partition(lam)
     if len(lam) > k:
         raise ValueError(f"shape has {len(lam)} rows, only {k} variables")
-    return MonomialPoly(k, dict(_ssyt_exponents(lam, k)))
+    return MonomialPoly(k, _ssyt_exponents(lam, k))
 
 
 def _kostka(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:

@@ -40,7 +40,10 @@ read through ``h3_two_row``, has zeros to strip.
 
 Of the assembled h3 sums the cache keeps only those at the three largest n
 it has built, so a sweep over n = 0, 1, ..., N holds O(N^2) terms: the
-layers (O(N^2) in all) and three h3 sums.
+layers (O(N^2) in all) and three h3 sums. The module keeps no cache of
+its own: h2_rec, h3_two_row, h3 and dent_difference use the cache they are
+given, or a fresh one that is dropped on return, so a loop over n that
+should reuse the layers passes one RecurrenceCache.
 """
 
 import threading
@@ -153,22 +156,22 @@ class RecurrenceCache:
         return value
 
 
-_DEFAULT_CACHE = RecurrenceCache()
-
-
 def h2_rec(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
     """h2[hn] by the recurrence; equals h2_closed(n)."""
-    return (_DEFAULT_CACHE if cache is None else cache).h2(n)
+    return (RecurrenceCache() if cache is None else cache).h2(n)
 
 
 def h3_two_row(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
     """The terms of h3[hn] with at most two rows; zero for negative n."""
-    return (_DEFAULT_CACHE if cache is None else cache).h3_two_row(n)
+    return (RecurrenceCache() if cache is None else cache).h3_two_row(n)
 
 
 def h3(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
-    """Schur expansion of h3[hn] by the recurrence; zero for negative n."""
-    return (_DEFAULT_CACHE if cache is None else cache).h3(n)
+    """Schur expansion of h3[hn] by the recurrence; zero for negative n.
+
+    Without a cache the layers are filled afresh and dropped on return.
+    """
+    return (RecurrenceCache() if cache is None else cache).h3(n)
 
 
 def dent_difference(m: int, n: int, cache: RecurrenceCache | None = None) -> SchurSum:
@@ -179,9 +182,11 @@ def dent_difference(m: int, n: int, cache: RecurrenceCache | None = None) -> Sch
     m = 3 it equals the layer D(n) the recurrence assembles h3[hn] from,
     but reading D(n) off the recurrence would make a positivity check of
     the difference a tautology, since D(n) is positive by construction.
+    Without a cache, one fresh cache serves both reads of h3.
     """
     if m == 2:
         return h2_closed(n) - _S22.odot(h2_closed(n - 2))
     if m == 3:
+        cache = RecurrenceCache() if cache is None else cache
         return h3(n, cache) - _S222.odot(h3(n - 2, cache))
     raise ValueError("m must be 2 or 3")

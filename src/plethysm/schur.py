@@ -15,13 +15,11 @@ validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 from operator import add
 
 from .partition import Partition
 
 
-@lru_cache(maxsize=4096)
 def ssyt_count(lam: tuple[int, ...], k: int) -> int:
     """Number of semistandard tableaux of shape ``lam`` with entries <= k.
 
@@ -108,17 +106,21 @@ class SchurSum:
             return NotImplemented
         return self._terms == other._terms
 
-    def __add__(self, other: "SchurSum") -> "SchurSum":
-        if not isinstance(other, SchurSum):
-            return NotImplemented
+    def _merge(self, other: "SchurSum", sign: int) -> "SchurSum":
+        # self + sign * other, in one pass over the terms of other.
         out = dict(self._terms)
         for lam, c in other._terms.items():
-            merged = out.get(lam, 0) + c
+            merged = out.get(lam, 0) + sign * c
             if merged:
                 out[lam] = merged
             else:
                 del out[lam]
         return SchurSum._wrap(out)
+
+    def __add__(self, other: "SchurSum") -> "SchurSum":
+        if not isinstance(other, SchurSum):
+            return NotImplemented
+        return self._merge(other, 1)
 
     def __neg__(self) -> "SchurSum":
         return SchurSum._wrap({lam: -c for lam, c in self._terms.items()})
@@ -126,7 +128,7 @@ class SchurSum:
     def __sub__(self, other: "SchurSum") -> "SchurSum":
         if not isinstance(other, SchurSum):
             return NotImplemented
-        return self + -other
+        return self._merge(other, -1)
 
     def __mul__(self, scalar: int) -> "SchurSum":
         if isinstance(scalar, bool) or not isinstance(scalar, int):

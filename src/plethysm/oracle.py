@@ -20,7 +20,7 @@ is kept between calls: the Kostka memo lives for one conversion.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, prod
 
 from .partition import Partition, partitions_of
@@ -72,19 +72,22 @@ class MonomialPoly:
         return f"<MonomialPoly k={self.k} with {len(self.terms)} terms>"
 
 
-def monomials_of_degree(degree: int, k: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, descending lex order."""
+def _check_degree(degree: int, k: int) -> None:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
-    if k == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(degree - first, k - 1):
-            out.append((first,) + rest)
-    return out
+
+
+def monomials_of_degree(degree: int, k: int) -> list[tuple[int, ...]]:
+    """All exponent vectors of the given total degree, descending lex order.
+
+    A degree-d monomial is a multiset of d variables, and multisets of
+    variable indices in lex order have exponent vectors in descending lex
+    order.
+    """
+    _check_degree(degree, k)
+    return [tuple(map(c.count, range(k))) for c in combinations_with_replacement(range(k), degree)]
 
 
 def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> MonomialPoly:
@@ -96,23 +99,19 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     m*n + 1, which no accumulated exponent can reach), so the inner loop
     is plain integer addition; keys are unpacked at the end.
 
-    Raises BudgetExceededError up front when the multiset count
-    C(M + m - 1, m), M = C(n + k - 1, k - 1), exceeds the budget.
+    Raises BudgetExceededError up front, before any monomial is built,
+    when the multiset count C(M + m - 1, m), M = C(n + k - 1, k - 1),
+    exceeds the budget.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    vectors = monomials_of_degree(n, k)
-    count = comb(len(vectors) + m - 1, m)
+    _check_degree(n, k)
+    count = comb(comb(n + k - 1, k - 1) + m - 1, m)
     if budget is not None and count > budget:
         raise BudgetExceededError(count, budget, f"h{m}[h{n}] in {k} variables")
 
     base = m * n + 1
-    packed = []
-    for vec in vectors:
-        code = 0
-        for e in reversed(vec):
-            code = code * base + e
-        packed.append(code)
+    packed = [sum(e * base**i for i, e in enumerate(vec)) for vec in monomials_of_degree(n, k)]
 
     last = len(packed)
     accum: dict[int, int] = {}
@@ -293,20 +292,15 @@ def monomial_to_schur(poly: MonomialPoly) -> SchurSum:
     return result
 
 
-def plethysm_oracle(m: int, n: int, k: int | None = None, budget: int | None = DEFAULT_BUDGET) -> SchurSum:
+def plethysm_oracle(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> SchurSum:
     """Schur expansion of h_m[h_n], computed from first principles.
 
-    k defaults to m: every Schur constituent of h_m[h_n] has at most m
-    rows, so m variables already separate all constituents. Pass a larger
-    k when the result will be combined with plethysms whose constituents
-    have more rows.
+    Expands in m variables: every Schur constituent of h_m[h_n] has at
+    most m rows, so m variables already separate all constituents.
     """
-    if k is None:
-        k = m
-    return monomial_to_schur(plethysm_hh_monomial(m, n, k, budget=budget))
+    return monomial_to_schur(plethysm_hh_monomial(m, n, m, budget=budget))
 
 
 def foulkes_difference(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> SchurSum:
-    """h_n[h_m] minus h_m[h_n], both computed in max(m, n) variables."""
-    k = max(m, n)
-    return plethysm_oracle(n, m, k=k, budget=budget) - plethysm_oracle(m, n, k=k, budget=budget)
+    """h_n[h_m] minus h_m[h_n], each expanded in its own number of rows (n, then m)."""
+    return plethysm_oracle(n, m, budget=budget) - plethysm_oracle(m, n, budget=budget)

@@ -1,4 +1,5 @@
 from math import comb
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -178,7 +179,39 @@ def test_plethysm_oracle_term_shape():
 
 
 def test_oracle_agrees_in_more_variables():
-    assert plethysm_oracle(3, 3, k=5) == plethysm_oracle(3, 3)
+    # Every constituent of h_m[h_n] has at most m rows, so more variables
+    # add no terms to the m-variable expansion.
+    for m in range(1, 4):
+        for n in range(4):
+            expected = plethysm_oracle(m, n)
+            for k in range(m, m + 3):
+                assert monomial_to_schur(plethysm_hh_monomial(m, n, k)) == expected, (m, n, k)
+
+
+def test_oracle_refuses_before_building_anything():
+    # 293,930 degree-9 monomials in 13 variables, and 501,501 of degree
+    # 1000 in 3, would each take tens of MB to list.
+    for call in (lambda: plethysm_hh_monomial(2, 9, 13, budget=1),
+                 lambda: plethysm_oracle(3, 1000, budget=1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"{peak / 1e6:.3f} MB peak before refusing"
+
+
+def test_foulkes_difference_matches_common_variables():
+    # Each side in its own number of rows gives the difference of both
+    # sides expanded in max(m, n) variables.
+    for m in range(1, 5):
+        for n in range(1, 5):
+            k = max(m, n)
+            expected = (monomial_to_schur(plethysm_hh_monomial(n, m, k))
+                        - monomial_to_schur(plethysm_hh_monomial(m, n, k)))
+            assert foulkes_difference(m, n) == expected, (m, n)
 
 
 def test_foulkes_difference_known_values():

@@ -1,7 +1,10 @@
 """Brute-force plethysm h_m[h_n] from first principles.
 
 Expands h_m[h_n] as an honest polynomial in k variables: every multiset
-of m monomials of degree n contributes the product monomial once. The
+of m monomials of degree n contributes the product monomial once. That is
+h_m evaluated at the degree-n monomials, so the coefficients are those of
+t^m in prod_u 1/(1 - t x^u) over the monomials x^u, which a table with one
+layer per multiset size counts without visiting any multiset. The
 conversion to the Schur basis first checks, term by term, that the
 polynomial is symmetric, and then reads only its dominant (weakly
 decreasing) exponent vectors. There the Schur-to-monomial transition is
@@ -30,7 +33,12 @@ DEFAULT_BUDGET = 50_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force expansion would enumerate too many multisets."""
+    """A brute-force expansion is too large for its budget.
+
+    The size is the number of multisets the expansion sums over. The table
+    does not visit them one by one, but the count still bounds its work and
+    its output, and it is known before anything is built.
+    """
 
     def __init__(self, required: int, budget: int, what: str) -> None:
         super().__init__(f"{what} needs {required} multisets, budget is {budget}")
@@ -91,17 +99,24 @@ def monomials_of_degree(degree: int, k: int) -> list[tuple[int, ...]]:
 
 
 def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> MonomialPoly:
-    """h_m[h_n] as a polynomial in k variables, by multiset enumeration.
+    """h_m[h_n] as a polynomial in k variables, by counting multisets of monomials.
 
-    Walks all multisets of m degree-n monomials as nondecreasing index
-    sequences over the ordered monomial list and accumulates the exponent
-    sum of each. Exponent vectors are packed into single integers (base
-    m*n + 1, which no accumulated exponent can reach), so the inner loop
-    is plain integer addition; keys are unpacked at the end.
+    The coefficient of x^e counts the multisets of m degree-n monomials
+    whose exponents sum to e. An unbounded-knapsack table counts them
+    without visiting any: layers[j] maps each exponent sum to the number
+    of j-element multisets of the monomials seen so far that reach it.
+    Each monomial u adds layers[j - 1] shifted by u into layers[j] for j
+    ascending, so layers[j - 1] already holds multisets that use u and u
+    may repeat. That is M * sum_j |layers[j]| dict updates, against the
+    C(M + m - 1, m) multisets a walk would visit. Exponent vectors are
+    packed into single integers (base m*n + 1, which no accumulated
+    exponent can reach), so a shift is plain integer addition; keys are
+    unpacked at the end. The coefficients of layers[m] must add up to the
+    multiset count; AssertionError otherwise.
 
     Raises BudgetExceededError up front, before any monomial is built,
     when the multiset count C(M + m - 1, m), M = C(n + k - 1, k - 1),
-    exceeds the budget.
+    exceeds the budget. The count bounds the table's work.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -111,22 +126,19 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
         raise BudgetExceededError(count, budget, f"h{m}[h{n}] in {k} variables")
 
     base = m * n + 1
-    packed = [sum(e * base**i for i, e in enumerate(vec)) for vec in monomials_of_degree(n, k)]
-
-    last = len(packed)
-    accum: dict[int, int] = {}
-
-    def walk(start: int, remaining: int, partial: int) -> None:
-        if remaining == 1:
-            get = accum.get
-            for j in range(start, last):
-                key = partial + packed[j]
-                accum[key] = get(key, 0) + 1
-            return
-        for j in range(start, last):
-            walk(j, remaining - 1, partial + packed[j])
-
-    walk(0, m, 0)
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m)]
+    for vec in monomials_of_degree(n, k):
+        u = sum(e * base**i for i, e in enumerate(vec))
+        for below, layer in zip(layers, layers[1:]):
+            get = layer.get
+            for key, c in below.items():
+                key += u
+                layer[key] = get(key, 0) + c
+    accum = layers[m]
+    del layers  # the lower layers are spent; free them before unpacking
+    total = sum(accum.values())
+    if total != count:
+        raise AssertionError(f"h{m}[h{n}] in {k} variables: table counts {total} multisets, expected {count}")
 
     terms: dict[tuple[int, ...], int] = {}
     for code, c in accum.items():
@@ -302,5 +314,9 @@ def plethysm_oracle(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> Schu
 
 
 def foulkes_difference(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> SchurSum:
-    """h_n[h_m] minus h_m[h_n], each expanded in its own number of rows (n, then m)."""
-    return plethysm_oracle(n, m, budget=budget) - plethysm_oracle(m, n, budget=budget)
+    """h_n[h_m] minus h_m[h_n], each expanded in its own number of rows (n, then m).
+
+    When m == n the two sides are one plethysm, expanded once.
+    """
+    outer = plethysm_oracle(n, m, budget=budget)
+    return outer - (outer if m == n else plethysm_oracle(m, n, budget=budget))

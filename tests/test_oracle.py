@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb
 import tracemalloc
 
@@ -19,6 +21,7 @@ from plethysm import (
     s,
     schur_poly,
 )
+from plethysm import oracle
 from plethysm.oracle import _kostka, _ssyt_exponents
 
 
@@ -71,6 +74,20 @@ def test_hh_monomial_central_coefficient():
 def test_hh_monomial_total_counts_multisets(m, n, k):
     poly = plethysm_hh_monomial(m, n, k)
     assert poly.total() == comb(comb(n + k - 1, k - 1) + m - 1, m)
+
+
+def _multiset_sums(m, n, k):
+    # The reference for the table: every multiset of m degree-n
+    # monomials, one at a time, and the exponent vector of its product.
+    return dict(Counter(tuple(map(sum, zip(*multiset)))
+                        for multiset in combinations_with_replacement(monomials_of_degree(n, k), m)))
+
+
+def test_hh_monomial_matches_multiset_enumeration():
+    for m in range(1, 5):
+        for n in range(5):
+            for k in range(1, 5):
+                assert plethysm_hh_monomial(m, n, k).terms == _multiset_sums(m, n, k), (m, n, k)
 
 
 def test_hh_monomial_symmetric_under_transpositions():
@@ -217,6 +234,20 @@ def test_foulkes_difference_matches_common_variables():
 def test_foulkes_difference_known_values():
     assert foulkes_difference(2, 3) == s(2, 2, 2)
     assert foulkes_difference(3, 3) == SchurSum.zero()
+
+
+def test_foulkes_difference_square_expands_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plethysm_hh_monomial(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "plethysm_hh_monomial", counted)
+    assert foulkes_difference(3, 3) == SchurSum.zero()
+    assert calls == [(3, 3, 3)]
+    with pytest.raises(BudgetExceededError):
+        foulkes_difference(12, 12, budget=1)
 
 
 def test_foulkes_difference_positive_small():

@@ -4,8 +4,8 @@ Three independent routes to the same expansions, kept deliberately apart
 so that agreement certifies each of them:
 
 * ``thrall``     - the classical closed formula for the h3[hn] coefficients;
-* ``recurrence`` - the recurrences for h2[hn] and h3[hn], h3 memoized in
-  a caller-owned ``RecurrenceCache``;
+* ``recurrence`` - the recurrences for h2[hn] and h3[hn], h3 assembled
+  from two-row layers memoized in a caller-owned ``RecurrenceCache``;
 * ``oracle``     - brute-force monomial expansion converted to the Schur
   basis by peeling at dominant weights against Kostka numbers.
 
@@ -19,7 +19,7 @@ from .schur import SchurSum, s, ssyt_count
 from .thrall import coeff_from_gap, h3_coeff_closed, h3_coeff_recursive, h3_thrall
 from .recurrence import (
     RecurrenceCache,
-    dent_difference,
+    dent_differences,
     h2_closed,
     h2_rec,
     h3,
@@ -55,7 +55,7 @@ __all__ = [
     "h2_rec",
     "h3",
     "h3_two_row",
-    "dent_difference",
+    "dent_differences",
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "MonomialPoly",

@@ -18,7 +18,7 @@ from .oracle import (
     foulkes_difference,
     plethysm_oracle,
 )
-from .recurrence import RecurrenceCache, dent_difference, h2_closed
+from .recurrence import RecurrenceCache, dent_differences, h2_closed
 from .schur import SchurSum
 from .thrall import h3_thrall
 
@@ -113,6 +113,15 @@ def _direct_routes(m: int) -> str:
     return " vs ".join(route for route in _METHODS[m] if route != ORACLE)
 
 
+def _positivity_failures(n: int, total: SchurSum) -> list[tuple]:
+    """The terms of h3[hn] that are negative or have more than three rows,
+    in descending order. Only a failing sum is sorted into terms."""
+    if total.is_schur_positive() and total.max_rows() <= 3:
+        return []
+    return [("h3 nonnegative, at most 3 rows", n, list(lam), c)
+            for lam, c in total.terms() if c < 0 or len(lam) > 3]
+
+
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
     """Expand h3 and h2 by every route and compare: the direct routes with
     one another on [0, max_n], the oracle with all of them on
@@ -148,9 +157,8 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
                                report.mismatches)
             if ORACLE in by_route:
                 _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, oracle_mismatches[m])
-        bad = [(lam, c) for lam, c in values[3]["recurrence"]._terms.items() if c < 0 or len(lam) > 3]
-        for lam, c in sorted(bad, reverse=True):
-            report.positivity_failures.append(("h3 nonnegative, at most 3 rows", n, list(lam), c))
+        # No name in this loop may hold h3(n) while h3(n + 1) is built.
+        report.positivity_failures.extend(_positivity_failures(n, values[3]["recurrence"]))
     for sink in oracle_mismatches.values():
         report.mismatches.extend(sink)
     return report
@@ -194,10 +202,8 @@ def cmd_dent(args) -> int:
     if args.max_n < 2:
         print("error: --max-n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    cache = RecurrenceCache()
     failures = 0
-    for n in range(2, args.max_n + 1):
-        diff = dent_difference(args.m, n, cache)
+    for n, diff in dent_differences(args.m, args.max_n):
         if diff.is_schur_positive():
             print(f"n={n}: positive ({len(diff)} terms)")
         else:

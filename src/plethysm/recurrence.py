@@ -38,26 +38,17 @@ shift but the empty one has positive parts, and a shifted partition is a
 partition, so those keys are canonical as built. Only the unshifted layer,
 read through ``h3_two_row``, has zeros to strip.
 
-Of the assembled h3 sums the cache keeps only those at the three largest n
-it has built, so a sweep over n = 0, 1, ..., N holds O(N^2) terms: the
-layers (O(N^2) in all) and three h3 sums. The module keeps no cache of
-its own: h2_rec, h3_two_row, h3 and dent_difference use the cache they are
-given, or a fresh one that is dropped on return, so a loop over n that
-should reuse the layers passes one RecurrenceCache.
+The module keeps no cache of its own: h3_two_row and h3 use the cache
+they are given, or a fresh one that is dropped on return, so a loop over n
+that should reuse the layers passes one RecurrenceCache. The cache keeps
+no sums; dent_differences holds its own window of the two previous ones.
 """
-
-import threading
 
 from .partition import Partition
 from .schur import SchurSum, s
 
 _S22 = s(2, 2)
 _S222 = s(2, 2, 2)
-
-# Built h3 sums a cache keeps: those at the three largest n. A sweep up in
-# n that reads h3(n) and then h3(n - 2), as the dent check does, finds
-# h3(n - 2) still there.
-_KEPT_SUMS = 3
 
 
 def h2_closed(n: int) -> SchurSum:
@@ -67,8 +58,11 @@ def h2_closed(n: int) -> SchurSum:
     return SchurSum._wrap({Partition((2 * n - 2 * k, 2 * k)): 1 for k in range(n // 2 + 1)})
 
 
-def _build_h2(n: int) -> SchurSum:
-    # h2[hn] unrolled: s_(2n) plus s_(2n-4i) shifted by (2i, 2i) for i >= 1.
+def h2_rec(n: int) -> SchurSum:
+    """h2[hn] by the recurrence, unrolled; equals h2_closed(n)."""
+    if n < 0:
+        return SchurSum.zero()
+    # s_(2n) plus s_(2n-4i) shifted by (2i, 2i) for i >= 1.
     terms = {(2 * n - 4 * i + 2 * i, 2 * i): 1 for i in range(1, n // 2 + 1)}
     terms[(2 * n,) if n else ()] = 1
     return SchurSum._wrap(terms)
@@ -93,27 +87,18 @@ def _h3_shifts(n: int):
 
 
 class RecurrenceCache:
-    """Memo tables for the h3 recurrence.
-
-    The layers T(j) are filled bottom-up and kept. h3[hn] is built only for
-    the n a caller asks for, and the cache keeps the sums at the three
-    largest n it has built, evicting the smallest n beyond that: a sweep up
-    in n holds O(n^2) terms, not the O(n^3) of every h3[hn], and still hits
-    on h3(n - 2) after h3(n). h2[hn] takes O(n) to build and no caller asks
-    for the same one twice, so it is not kept. Values are never mutated
-    once stored, so a cache hit always equals a fresh recomputation.
-    Concurrent use is safe: layers and sums are built outside any lock
-    (recomputing one is idempotent, and a layer entry is fully built
-    before it is assigned), and storing a sum together with its eviction
-    holds the cache's lock.
+    """Memo table for the h3 recurrence: the layers T(j), filled bottom-up
+    and kept. h3[hn] is assembled from them on every call and not kept, and
+    h2[hn] needs no layers. A layer is never mutated once stored, so every
+    call equals a fresh recomputation. Concurrent use is safe without a
+    lock: building a layer twice is idempotent, and an entry is fully built
+    before it is assigned.
     """
 
-    __slots__ = ("_h3", "_two_row", "_lock")
+    __slots__ = ("_two_row",)
 
     def __init__(self) -> None:
-        self._h3: dict[int, SchurSum] = {}
         self._two_row: dict[int, dict[tuple[int, int], int]] = {}
-        self._lock = threading.Lock()
 
     def _layer(self, n: int) -> dict[tuple[int, int], int]:
         # The terms of T(n), filling T(j) for j = n % 4, n % 4 + 4, ..., n
@@ -124,19 +109,11 @@ class RecurrenceCache:
         if n not in table:
             for j in range(n % 4, n + 1, 4):
                 if j not in table:
-                    table[j] = _two_row_step(self._layer(j - 4), j)
+                    table[j] = _two_row_step(table.get(j - 4, {}), j)
         return table[n]
 
-    def _build_h3(self, n: int) -> SchurSum:
-        terms = dict(self.h3_two_row(n)._terms)
-        for j, (x, y, z) in _h3_shifts(n):
-            terms.update({(a + x, b + y, z): c for (a, b), c in self._layer(j).items()})
-        return SchurSum._wrap(terms)
-
     def h2(self, n: int) -> SchurSum:
-        if n < 0:
-            return SchurSum.zero()
-        return _build_h2(n)
+        return h2_rec(n)
 
     def h3_two_row(self, n: int) -> SchurSum:
         # The layer's padded keys, with their zeros stripped.
@@ -146,19 +123,10 @@ class RecurrenceCache:
     def h3(self, n: int) -> SchurSum:
         if n < 0:
             return SchurSum.zero()
-        value = self._h3.get(n)
-        if value is None:
-            value = self._build_h3(n)
-            with self._lock:
-                self._h3[n] = value
-                if len(self._h3) > _KEPT_SUMS:
-                    del self._h3[min(self._h3)]
-        return value
-
-
-def h2_rec(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
-    """h2[hn] by the recurrence; equals h2_closed(n)."""
-    return (RecurrenceCache() if cache is None else cache).h2(n)
+        terms = dict(self.h3_two_row(n)._terms)
+        for j, (x, y, z) in _h3_shifts(n):
+            terms.update({(a + x, b + y, z): c for (a, b), c in self._layer(j).items()})
+        return SchurSum._wrap(terms)
 
 
 def h3_two_row(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
@@ -174,19 +142,29 @@ def h3(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
     return (RecurrenceCache() if cache is None else cache).h3(n)
 
 
-def dent_difference(m: int, n: int, cache: RecurrenceCache | None = None) -> SchurSum:
-    """h_m[hn] minus s_(2,...,2) odot h_m[h_{n-2}], with m twos; m in {2, 3}.
+def dent_differences(m: int, max_n: int):
+    """Yield (n, h_m[hn] - s_(2,...,2) odot h_m[h_{n-2}]), with m twos, for
+    2 <= n <= max_n; m in {2, 3}.
 
-    Uses the closed form for m = 2 and the recurrence for m = 3. Both
-    operands are fully built sums, and the difference is taken here. For
-    m = 3 it equals the layer D(n) the recurrence assembles h3[hn] from,
-    but reading D(n) off the recurrence would make a positivity check of
-    the difference a tautology, since D(n) is positive by construction.
-    Without a cache, one fresh cache serves both reads of h3.
+    Uses the closed form for m = 2 and the recurrence for m = 3. Each
+    h_m[h_k] is built once, in full, and only the previous two are held.
+    For m = 3 the difference equals the layer D(n) term for term
+    whatever the layers hold: outside D(n) the shifted layer entries of
+    s_222 odot h3[h_{n-2}] are the same entries as in h3[hn], so they
+    cancel, and D(n) is positive by construction. So for m = 3 a positivity
+    check of the sweep certifies the plethysm only together with the
+    recurrence-vs-thrall comparison of verify at the same n, as the
+    certify workload runs them; test_dent_difference_is_built_from_full_sums
+    pins the differences to Thrall's closed formula.
     """
     if m == 2:
-        return h2_closed(n) - _S22.odot(h2_closed(n - 2))
-    if m == 3:
-        cache = RecurrenceCache() if cache is None else cache
-        return h3(n, cache) - _S222.odot(h3(n - 2, cache))
-    raise ValueError("m must be 2 or 3")
+        build, column = h2_closed, _S22
+    elif m == 3:
+        build, column = RecurrenceCache().h3, _S222
+    else:
+        raise ValueError("m must be 2 or 3")
+    older, old = build(0), build(1)
+    for n in range(2, max_n + 1):
+        new = build(n)
+        yield n, new - column.odot(older)
+        older, old = old, new

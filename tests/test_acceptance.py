@@ -9,7 +9,7 @@ from math import comb
 from plethysm import (
     Partition,
     RecurrenceCache,
-    dent_difference,
+    dent_differences,
     foulkes_difference,
     h2_closed,
     h2_rec,
@@ -127,9 +127,8 @@ def test_criterion_6_dimension_identity():
 
 
 def test_criterion_7_dent_positivity():
-    cache = RecurrenceCache()
-    bad3 = [n for n in range(2, 41) if not dent_difference(3, n, cache).is_schur_positive()]
-    bad2 = [n for n in range(2, 61) if not dent_difference(2, n).is_schur_positive()]
+    bad3 = [n for n, diff in dent_differences(3, 40) if not diff.is_schur_positive()]
+    bad2 = [n for n, diff in dent_differences(2, 60) if not diff.is_schur_positive()]
     ok = not bad3 and not bad2
     _report(7, "column-strip differences Schur-positive (m=3 to 40, m=2 to 60)", ok)
     assert not bad3 and not bad2, f"m=3 failures {bad3}, m=2 failures {bad2}"

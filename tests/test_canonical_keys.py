@@ -8,7 +8,7 @@ no zeros.
 
 import pytest
 
-from plethysm import Partition, RecurrenceCache, dent_difference
+from plethysm import Partition, RecurrenceCache, dent_differences
 from plethysm.cli import ORACLE, _METHODS
 
 MAX_N = 30
@@ -32,9 +32,8 @@ def test_route_keys_are_canonical(m, route):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_dent_difference_keys_are_canonical(m):
-    cache = RecurrenceCache()
-    for n in range(MAX_N + 1):
-        assert_canonical(dent_difference(m, n, cache))
+    for _, diff in dent_differences(m, MAX_N):
+        assert_canonical(diff)
 
 
 def test_h3_two_row_keys_are_canonical():

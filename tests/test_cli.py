@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from plethysm import s
+from plethysm import RecurrenceCache, SchurSum, s
 from plethysm.cli import main
 import plethysm.cli as cli
 
@@ -100,6 +100,25 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "n=5" in out and "[15]" in out
 
 
+@pytest.mark.parametrize("terms, failures", [
+    ({(6,): 1, (4, 2): -1, (2, 2, 2): 1, (2, 2, 1, 1): 3},
+     ["lambda=[4, 2] coeff=-1", "lambda=[2, 2, 1, 1] coeff=3"]),
+    ({(6,): 1, (4, 2): 1, (1, 1, 1, 1, 1, 1): 2}, ["lambda=[1, 1, 1, 1, 1, 1] coeff=2"]),
+])
+def test_verify_reports_positivity_failures(capsys, monkeypatch, terms, failures):
+    # A negative term and a term of more than three rows each fail the
+    # scan of the recurrence's h3, listed in descending order.
+    bad = SchurSum(terms)
+    recurrence = cli._METHODS[3]["recurrence"]
+    monkeypatch.setitem(cli._METHODS[3], "recurrence",
+                        lambda n, cache, budget: bad if n == 2 else recurrence(n, cache, budget))
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--oracle-max-n", "0")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("POSITIVITY")] == [
+        f"POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=2 {failure}" for failure in failures]
+    assert out.endswith(f" {len(failures)} positivity failures)\n")
+
+
 def _traced(fn):
     """fn() and the tracemalloc peak in bytes while it ran."""
     tracemalloc.start()
@@ -161,6 +180,20 @@ def test_dent_passes(capsys):
 def test_dent_requires_max_n_at_least_2(capsys):
     code, _, err = run(capsys, "dent", "--m", "2", "--max-n", "1")
     assert code == 2
+
+
+def test_dent_sweep_builds_each_h3_once(capsys, monkeypatch):
+    built = []
+    h3 = RecurrenceCache.h3
+
+    def counted(cache, n):
+        built.append(n)
+        return h3(cache, n)
+
+    monkeypatch.setattr(RecurrenceCache, "h3", counted)
+    code, _, _ = run(capsys, "dent", "--m", "3", "--max-n", "30")
+    assert code == 0
+    assert sorted(built) == list(range(31))
 
 
 def test_bench_table_and_csv(capsys, tmp_path):

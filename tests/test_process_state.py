@@ -7,7 +7,7 @@ import pkgutil
 import tracemalloc
 
 import plethysm
-from plethysm import RecurrenceCache, dent_difference, h3, plethysm_oracle
+from plethysm import RecurrenceCache, dent_differences, h3, plethysm_oracle
 
 
 def test_no_module_holds_a_cache():
@@ -24,7 +24,10 @@ def test_calls_without_a_cache_leave_nothing_held():
     tracemalloc.start()
     try:
         h3(200)
-        dent_difference(3, 150)
+        for n, diff in dent_differences(3, 150):
+            if n == 80:  # a sweep dropped part way frees its sums and layers
+                break
+        del diff
         plethysm_oracle(3, 6)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]

@@ -1,12 +1,13 @@
 import random
-import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 from plethysm import (
     RecurrenceCache,
     SchurSum,
-    dent_difference,
+    dent_differences,
     h2_closed,
     h2_rec,
     h3,
@@ -80,14 +81,21 @@ def test_h3_terms_nonnegative_and_short():
 
 
 def test_dent_difference_known_value():
-    assert dent_difference(3, 2) == s(6) + s(4, 2)
-    assert dent_difference(2, 2) == s(4)
+    assert next(dent_differences(3, 2)) == (2, s(6) + s(4, 2))
+    assert next(dent_differences(2, 2)) == (2, s(4))
 
 
 def test_dent_difference_positive_small():
-    for n in range(2, 13):
-        assert dent_difference(3, n).is_schur_positive()
-        assert dent_difference(2, n).is_schur_positive()
+    for m in (2, 3):
+        sweep = list(dent_differences(m, 12))
+        assert [n for n, _ in sweep] == list(range(2, 13))
+        assert all(diff.is_schur_positive() for _, diff in sweep)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_dent_differences_rejects_other_m(m):
+    with pytest.raises(ValueError):
+        next(dent_differences(m, 5))
 
 
 def test_fresh_caches_agree_with_default():
@@ -114,44 +122,12 @@ def test_concurrent_use_is_consistent():
     assert all(value == want[n] for n, value in got)
 
 
-def test_cache_keeps_three_sums_after_sweep():
-    # The dent sweep's order: h3(n), then h3(n - 2), which must be a hit.
-    cache = RecurrenceCache()
-    first = {}
-    for n in range(2, 41):
-        first[n] = cache.h3(n)
-        cache.h2(n)
-        if n - 2 in first:
-            assert cache.h3(n - 2) is first[n - 2], n
-        else:
-            cache.h3(n - 2)
-    assert sorted(cache._h3) == [38, 39, 40]
-
-
-def test_concurrent_eviction_keeps_bound():
-    # Threads store and evict at once; a lost update would leave more
-    # than three sums or raise KeyError on a doubly evicted n.
-    cache = RecurrenceCache()
-    want = {n: RecurrenceCache().h3(n) for n in range(31)}
-    jobs = [n for n in range(31) for _ in range(8)]
-    random.Random(11).shuffle(jobs)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda n: (n, cache.h3(n)), jobs, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(value == want[n] for n, value in got)
-    assert sorted(cache._h3) == [28, 29, 30]
-
-
 def test_dent_difference_is_built_from_full_sums():
     # The dent check tests a difference of two fully built sums; pin that
     # difference to the closed formula, which shares no code with the
     # recurrence's layers, so its positivity is not the recurrence's alone.
-    for n in range(2, 25):
-        assert dent_difference(3, n) == h3_thrall(n) - s(2, 2, 2).odot(h3_thrall(n - 2)), n
+    for n, diff in dent_differences(3, 24):
+        assert diff == h3_thrall(n) - s(2, 2, 2).odot(h3_thrall(n - 2)), n
 
 
 def test_cold_h3_matches_thrall_beyond_40():

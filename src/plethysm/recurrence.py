@@ -44,7 +44,6 @@ that should reuse the layers passes one RecurrenceCache. The cache keeps
 no sums; dent_differences holds its own window of the two previous ones.
 """
 
-from .partition import Partition
 from .schur import SchurSum, s
 
 _S22 = s(2, 2)
@@ -55,7 +54,10 @@ def h2_closed(n: int) -> SchurSum:
     """h2[hn] by the closed formula: floor(n/2) + 1 terms, coefficient 1 each."""
     if n < 0:
         return SchurSum.zero()
-    return SchurSum._wrap({Partition((2 * n - 2 * k, 2 * k)): 1 for k in range(n // 2 + 1)})
+    # Canonical keys: (2n - 2k, 2k) for k >= 1, then (2n), or () at n = 0.
+    terms = {(2 * n - 2 * k, 2 * k): 1 for k in range(1, n // 2 + 1)}
+    terms[(2 * n,) if n else ()] = 1
+    return SchurSum._wrap(terms)
 
 
 def h2_rec(n: int) -> SchurSum:

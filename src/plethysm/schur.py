@@ -3,7 +3,9 @@
 A ``SchurSum`` maps partitions to nonzero integer coefficients. Besides
 the ring operations it carries the operator the h2[hn] and h3[hn]
 recurrences are stated with: ``odot``, the bilinear product that adds
-indexing partitions componentwise (s_mu odot s_lam = s_{mu+lam}).
+indexing partitions componentwise (s_mu odot s_lam = s_{mu+lam}). It is
+computed as one shift of the right factor per term of the left: adding a
+fixed partition is injective, so terms merge only between the shifts.
 Coefficients are ordinary Python integers, so all arithmetic is exact.
 
 Keys are canonical plain tuples (weakly decreasing, positive parts); a
@@ -109,12 +111,7 @@ class SchurSum:
     def _merge(self, other: "SchurSum", sign: int) -> "SchurSum":
         # self + sign * other, in one pass over the terms of other.
         out = dict(self._terms)
-        for lam, c in other._terms.items():
-            merged = out.get(lam, 0) + sign * c
-            if merged:
-                out[lam] = merged
-            else:
-                del out[lam]
+        _add_into(out, other._terms, sign)
         return SchurSum._wrap(out)
 
     def __add__(self, other: "SchurSum") -> "SchurSum":
@@ -140,17 +137,26 @@ class SchurSum:
     __rmul__ = __mul__
 
     def odot(self, other: "SchurSum") -> "SchurSum":
-        """Bilinear product adding the indexing partitions componentwise."""
+        """Bilinear product adding the indexing partitions componentwise.
+
+        Computed as one shift of ``other`` per term c*s_lam of ``self``:
+        every key mu becomes lam + mu, with coefficient c*d. Adding a fixed
+        lam is injective and c*d is never 0, so a shift is built in one
+        pass with no merge check. Terms merge, and may cancel, only between
+        the shifts of different terms of ``self``.
+        """
         out: dict[tuple[int, ...], int] = {}
         for lam, c in self._terms.items():
-            for mu, d in other._terms.items():
-                # One of the two tails is empty.
-                nu = (*map(add, lam, mu), *lam[len(mu):], *mu[len(lam):])
-                merged = out.get(nu, 0) + c * d
-                if merged:
-                    out[nu] = merged
-                else:
-                    del out[nu]
+            rows = len(lam)
+            # Unpacked, not joined with +, which adds when a key is a
+            # Partition. One of the two tails is empty.
+            shifted = {(*map(add, lam, mu), *lam[len(mu):], *mu[rows:]): c * d
+                       for mu, d in other._terms.items()}
+            # Merge the smaller dict into the larger; the first shift is
+            # taken whole.
+            if len(shifted) > len(out):
+                out, shifted = shifted, out
+            _add_into(out, shifted, 1)
         return SchurSum._wrap(out)
 
     def is_schur_positive(self) -> bool:
@@ -194,6 +200,14 @@ class SchurSum:
 
     def __repr__(self) -> str:
         return f"<SchurSum {self}>"
+
+
+def _add_into(out: dict[tuple[int, ...], int], terms: dict[tuple[int, ...], int], sign: int) -> None:
+    # out += sign * terms in place, dropping the keys that cancel.
+    for lam, c in terms.items():
+        merged = out.pop(lam, 0) + sign * c
+        if merged:
+            out[lam] = merged
 
 
 def s(*parts: int) -> SchurSum:

@@ -46,6 +46,20 @@ PASS (h3[hn] - s_(2^3) odot h3[h(n-2)] Schur-positive for 2 <= n <= 8)
 """,
     ),
     (
+        ["dent", "--m", "2", "--max-n", "8"],
+        0,
+        """\
+n=2: positive (1 terms)
+n=3: positive (1 terms)
+n=4: positive (1 terms)
+n=5: positive (1 terms)
+n=6: positive (1 terms)
+n=7: positive (1 terms)
+n=8: positive (1 terms)
+PASS (h2[hn] - s_(2^2) odot h2[h(n-2)] Schur-positive for 2 <= n <= 8)
+""",
+    ),
+    (
         ["expand", "--m", "3", "--n", "7"],
         0,
         "s[21] + s[19,2] + s[18,3] + s[17,4] + s[17,2,2] + s[16,5] + s[16,4,1]"

@@ -1,6 +1,6 @@
 import json
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import pytest
 
 from plethysm import Partition, SchurSum, s, ssyt_count
@@ -20,9 +20,40 @@ def schur_sum_strategy(draw, max_len=3):
     return SchurSum(zip(shapes, coeffs))
 
 
+def _plain(total):
+    # The same sum keyed by plain tuples, as the routes build their sums.
+    return SchurSum._wrap({tuple(lam): c for lam, c in total._terms.items()})
+
+
+@st.composite
+def keyed_sum_strategy(draw):
+    # Partition keys, as SchurSum(...) and s() build them, or plain tuples.
+    total = draw(schur_sum_strategy(max_len=4))
+    return _plain(total) if draw(st.booleans()) else total
+
+
+def odot_by_pairs(a, b):
+    # The definition, sum of c*d * s_(lam + mu) over pairs of terms, with
+    # Partition's componentwise +. The constructor merges equal keys with
+    # its own loop, not with the one odot and + share.
+    return SchurSum((lam + mu, c * d) for lam, c in a.terms() for mu, d in b.terms())
+
+
+@given(keyed_sum_strategy(), keyed_sum_strategy())
+# The s_31 terms of the two shifts cancel.
+@example(s(2) - s(1, 1), s(1, 1) + s(2))
+# Keys empty, shorter and longer than the left factor's rows, both ways.
+@example(s(2, 2), SchurSum.one() + s(5) + s(3, 3, 1))
+@example(_plain(s(3, 1, 1) - 2 * s(4)), _plain(SchurSum.one() + s(2) - s(1, 1, 1, 1)))
+@example(_plain(s(2, 2, 2)), s(7, 1) + 3 * s(2, 2, 2, 1))
+def test_odot_matches_pairwise_definition(a, b):
+    assert a.odot(b) == odot_by_pairs(a, b)
+
+
 def test_odot_known_values():
     assert s(2, 2).odot(s(4) + s(2, 2)) == s(6, 2) + s(4, 4)
     assert s(4, 4, 1).odot(SchurSum.zero()) == SchurSum.zero()
+    assert (s(2) - s(1, 1)).odot(s(1, 1) + s(2)) == s(4) - s(2, 2)
 
 
 @given(schur_sum_strategy())

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .oracle import (
     DEFAULT_BUDGET,
@@ -80,15 +79,15 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-@dataclass
 class VerificationReport:
     """Outcome of the cross-method comparison: mismatches, positivity
     failures and each route's summed call time."""
 
-    oracle_range: tuple[int, int]
-    mismatches: list[tuple] = field(default_factory=list)
-    positivity_failures: list[tuple] = field(default_factory=list)
-    elapsed_ms: dict[str, float] = field(default_factory=dict)
+    def __init__(self, oracle_range: tuple[int, int], elapsed_ms: dict[str, float]) -> None:
+        self.oracle_range = oracle_range
+        self.mismatches: list[tuple] = []
+        self.positivity_failures: list[tuple] = []
+        self.elapsed_ms = elapsed_ms
 
     @property
     def passed(self) -> bool:
@@ -221,14 +220,16 @@ def cmd_dent(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-@dataclass
 class BenchResult:
     """Per-n best-of-repeats timings in milliseconds, keyed by method name."""
 
-    millis: dict[tuple[int, str], float] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.millis: dict[tuple[int, str], float] = {}
 
-    def total(self, method: str) -> float:
-        return sum(ms for (_, name), ms in self.millis.items() if name == method)
+    def total(self, method: str) -> float | None:
+        """Sum of the method's timings, None for a method never timed."""
+        times = [ms for (_, name), ms in self.millis.items() if name == method]
+        return sum(times) if times else None
 
     def rows(self) -> list[tuple[int, str, float]]:
         return sorted((n, name, ms) for (n, name), ms in self.millis.items())
@@ -239,12 +240,6 @@ def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
     """Time every h3 route on n >= 1. Each repeat starts cold: it builds its
     own RecurrenceCache, and the package keeps nothing between calls."""
     result = BenchResult()
-
-    def record(n: int, method: str, ms: float) -> None:
-        key = (n, method)
-        if key not in result.millis or ms < result.millis[key]:
-            result.millis[key] = ms
-
     oracle_hi = min(oracle_max_n, max_n)
     for _ in range(repeats):
         cache = RecurrenceCache()
@@ -253,10 +248,15 @@ def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
                 try:
                     start = _now_ms()
                     expand(n, cache, budget)
-                    record(n, route, _now_ms() - start)
+                    ms = _now_ms() - start
+                    result.millis[n, route] = min(ms, result.millis.get((n, route), ms))
                 except BudgetExceededError:
                     break  # the oracle's count only grows with n
     return result
+
+
+def _cell(ms: float | None) -> str:
+    return "%14.3f" % ms if ms is not None else "%14s" % "-"
 
 
 def cmd_bench(args) -> int:
@@ -265,12 +265,8 @@ def cmd_bench(args) -> int:
     print(f"best of {args.repeats} repeats, milliseconds")
     print("%6s%s" % ("n", "".join("%14s" % m for m in methods)))
     for n in range(1, args.max_n + 1):
-        cells = []
-        for method in methods:
-            ms = result.millis.get((n, method))
-            cells.append("%14.3f" % ms if ms is not None else "%14s" % "-")
-        print("%6d%s" % (n, "".join(cells)))
-    print("%6s%s" % ("total", "".join("%14.3f" % result.total(m) for m in methods)))
+        print("%6d%s" % (n, "".join(_cell(result.millis.get((n, method))) for method in methods)))
+    print("%6s%s" % ("total", "".join(_cell(result.total(m)) for m in methods)))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("n,method,millis\n")

@@ -35,9 +35,12 @@ DEFAULT_BUDGET = 50_000_000
 class BudgetExceededError(RuntimeError):
     """A brute-force expansion is too large for its budget.
 
-    The size is the number of multisets the expansion sums over. The table
-    does not visit them one by one, but the count still bounds its work and
-    its output, and it is known before anything is built.
+    The size is the number of multisets the expansion sums over, known
+    before anything is built. The table does not visit them one by one; the
+    count bounds its output, and its work within a factor: with M monomials
+    and m factors it makes at most C(M + m, m) - 1 = (1 + m/M) * count - 1
+    dict updates, reached when no two multisets share an exponent sum
+    (h10[h1] in 10 variables: 92,378 multisets, 184,755 updates).
     """
 
     def __init__(self, required: int, budget: int, what: str) -> None:
@@ -49,7 +52,9 @@ class BudgetExceededError(RuntimeError):
 class MonomialPoly:
     """Sparse polynomial in k variables with exact integer coefficients.
 
-    Terms map dense exponent tuples of length k to nonzero coefficients.
+    Terms map dense exponent tuples of length k to nonzero coefficients,
+    each a plain ``int`` (ValueError otherwise; ``bool`` is refused too).
+    Exponents are checked where they are read, by ``monomial_to_schur``.
     Treated as immutable by every function in this module.
     """
 
@@ -58,6 +63,11 @@ class MonomialPoly:
     def __init__(self, k: int, terms: dict[tuple[int, ...], int]) -> None:
         if k < 1:
             raise ValueError("k must be positive")
+        # One C-level pass over the types: a per-term isinstance loop would
+        # cost the oracle several times as much.
+        kinds = set(map(type, terms.values()))
+        if not kinds <= {int}:
+            raise ValueError(f"coefficients must be int, not {sorted(t.__name__ for t in kinds - {int})}")
         self.k = k
         self.terms = {e: c for e, c in terms.items() if c}
         for e in self.terms:
@@ -116,7 +126,9 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
 
     Raises BudgetExceededError up front, before any monomial is built,
     when the multiset count C(M + m - 1, m), M = C(n + k - 1, k - 1),
-    exceeds the budget. The count bounds the table's work.
+    exceeds the budget. The count bounds the table's work within a factor:
+    at most C(M + m, m) - 1 = (1 + m/M) * count - 1 dict updates, reached
+    when no two multisets share an exponent sum, as at h_m[h_1].
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -241,7 +253,8 @@ def _check_symmetric(poly: MonomialPoly) -> dict[tuple[int, ...], int]:
     # keyed by canonical tuple (zeros dropped), after checking every term:
     # each exponent vector must carry the coefficient of its sorted
     # rearrangement, and each orbit must hold all k!/prod(mult!) of its
-    # rearrangements.
+    # rearrangements. Exponents must be nonnegative ints, checked once per
+    # orbit on its sorted lead, whose last entry is its least.
     terms = poly.terms
     orbits: dict[tuple[int, ...], int] = {}
     for exps, c in terms.items():
@@ -254,6 +267,8 @@ def _check_symmetric(poly: MonomialPoly) -> dict[tuple[int, ...], int]:
     k = poly.k
     dominant: dict[tuple[int, ...], int] = {}
     for lead, count in orbits.items():
+        if lead[-1] < 0 or not set(map(type, lead)) <= {int}:
+            raise ValueError(f"exponents must be nonnegative ints: {lead}")
         full = factorial(k) // prod(map(factorial, Counter(lead).values()))
         if count != full:
             raise ValueError(
@@ -269,6 +284,7 @@ def monomial_to_schur(poly: MonomialPoly) -> SchurSum:
     First checks that the input is symmetric, on every term: each exponent
     vector must have the coefficient of its sorted rearrangement and each
     orbit must be complete; otherwise raises ValueError ("not symmetric").
+    A negative or non-int exponent raises ValueError too.
     Then only the dominant weights matter. The coefficient of x^mu in s_lam
     is the Kostka number K(lam, mu), which is 1 at mu = lam and 0 unless
     lam dominates mu, so it is 0 at every mu after lam in descending lex

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -62,6 +65,9 @@ def test_expand_usage_errors_exit_2():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["expand", "--m", "3", "--n", "-1"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["expand", "--n", "2", "--budget", "0"])
     assert info.value.code == 2
 
 
@@ -209,6 +215,26 @@ def test_bench_table_and_csv(capsys, tmp_path):
         (str(n), method) for n in (1, 2, 3) for method in ("recurrence", "thrall")
     } | {(str(n), "oracle") for n in (1, 2)}
     assert all(float(r[2]) >= 0 for r in rows)
+
+
+# Every CLI run starts a process, so what importing the CLI loads is paid
+# on each one; the introspection modules below came with dataclasses.
+IMPORT_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import plethysm.cli
+loaded = sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules))
+assert not loaded, loaded
+sys.exit(plethysm.cli.main(["expand", "--m", "3", "--n", "2"]))
+"""
+
+
+def test_cli_import_loads_no_introspection_modules():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-c", IMPORT_CHECK, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "s[6] + s[4,2] + s[2,2,2]\n"
 
 
 def test_deterministic_output(capsys):

@@ -89,6 +89,18 @@ best of 1 repeats, milliseconds
 """,
     ),
     (
+        # The budget refuses the oracle at n = 1: a route never timed totals "-".
+        ["bench", "--max-n", "2", "--repeats", "1", "--oracle-max-n", "5", "--budget", "3"],
+        0,
+        """\
+best of 1 repeats, milliseconds
+     n    recurrence        thrall        oracle
+     1<t><t>             -
+     2<t><t>             -
+ total<t><t>             -
+""",
+    ),
+    (
         ["expand", "--m", "2", "--n", "3", "--method", "thrall"],
         2,
         "",
@@ -227,4 +239,19 @@ def test_verify_failure_golden(capsys, monkeypatch, routes, failures):
     assert main(["verify", "--max-n", "8", "--oracle-max-n", "4"]) == 1
     captured = capsys.readouterr()
     assert _TIMING.sub("<t>", captured.out) == VERIFY_HEADER + failures
+    assert captured.err == ""
+
+
+def test_dent_failure_golden(capsys, monkeypatch):
+    # Correct layers cannot make a dent difference negative, so the failure
+    # output is reached only through injected differences.
+    differences = [(2, s(6) - s(4, 2)), (3, s(9))]
+    monkeypatch.setattr(cli, "dent_differences", lambda m, max_n: iter(differences))
+    assert main(["dent", "--m", "3", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == """\
+n=2: NOT POSITIVE, negative terms [([4, 2], -1)]
+n=3: positive (1 terms)
+FAIL (1 of 2 checks not Schur-positive)
+"""
     assert captured.err == ""

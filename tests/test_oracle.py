@@ -260,6 +260,28 @@ def test_monomial_poly_validates_inputs():
         MonomialPoly(2, {(1, 2, 0): 1})
     with pytest.raises(ValueError):
         MonomialPoly(0, {})
+    for bad in (1.5, True, 0.0):
+        with pytest.raises(ValueError, match="coefficients must be int"):
+            MonomialPoly(1, {(1,): bad})
+
+
+def test_monomial_to_schur_rejects_bad_exponents():
+    # Symmetric, so only the exponent check stands between these and the peel.
+    for k, terms in ((2, {(-1, 3): 1, (3, -1): 1}), (1, {(1.5,): 1}), (2, {(True, 0): 1, (0, True): 1})):
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            monomial_to_schur(MonomialPoly(k, terms))
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (partitions_of, (-1, 2), "total must be nonnegative"),
+    (partitions_of, (3, 0), "max_parts must be positive"),
+    (monomials_of_degree, (-1, 2), "degree must be nonnegative"),
+    (monomials_of_degree, (2, 0), "k must be positive"),
+    (plethysm_hh_monomial, (0, 2, 2), "m must be positive"),
+])
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def test_monomial_poly_prunes_zero_coefficients():

@@ -18,6 +18,7 @@ from plethysm import (
 
 
 def test_h2_closed_known_values():
+    assert h2_closed(-1) == SchurSum.zero()
     assert h2_closed(0) == SchurSum.one()
     assert h2_closed(2) == s(4) + s(2, 2)
     assert h2_closed(5) == s(10) + s(8, 2) + s(6, 4)
@@ -31,6 +32,7 @@ def test_h2_closed_term_count():
 
 
 def test_h2_rec_known_values():
+    assert h2_rec(-1) == SchurSum.zero()
     assert h2_rec(0) == SchurSum.one()
     assert h2_rec(1) == s(2)
     assert h2_rec(3) == s(6) + s(4, 2)

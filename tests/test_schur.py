@@ -89,6 +89,7 @@ def test_ring_operations():
     assert s(3) + s(3) == 2 * s(3)
     a = s(4, 1) + 3 * s(2, 2)
     assert a - a == SchurSum.zero()
+    assert a and not SchurSum.zero()
     assert 0 * a == SchurSum.zero()
     assert -a == (-1) * a
 

@@ -47,6 +47,7 @@ def test_closed_known_values():
     assert h3_coeff_closed(Partition([6, 3])) == 1
     assert h3_coeff_closed(Partition([3, 3, 3])) == 0
     assert h3_coeff_closed(Partition()) == 1
+    assert h3_coeff_closed((6,)) == 1  # a plain tuple is checked into a Partition
 
 
 def test_recursive_known_values():

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from .oracle import (
     DEFAULT_BUDGET,
@@ -197,22 +198,35 @@ def cmd_foulkes(args) -> int:
     return EXIT_OK if positive else EXIT_FAIL
 
 
+def _multisets(m: int, n: int) -> int:
+    """h_m[h_n] at m ones: the multisets of m degree-n monomials in m variables."""
+    return comb(comb(n + m - 1, m - 1) + m - 1, m)
+
+
 def cmd_dent(args) -> int:
     if args.max_n < 2:
         print("error: --max-n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    failures = 0
-    for n, diff in dent_differences(args.m, args.max_n):
+    m, checks = args.m, args.max_n - 1
+    not_positive = wrong_values = 0
+    for n, diff in dent_differences(m, args.max_n):
         if diff.is_schur_positive():
             print(f"n={n}: positive ({len(diff)} terms)")
         else:
-            failures += 1
+            not_positive += 1
             bad = [(list(lam), c) for lam, c in diff.terms() if c < 0]
             print(f"n={n}: NOT POSITIVE, negative terms {bad}")
-    if failures:
-        print(f"FAIL ({failures} of {args.max_n - 1} checks not Schur-positive)")
+        # A full column leaves Weyl's product unchanged, so s_(2^m) odot X
+        # has the value of X at m ones.
+        value, expected = diff.eval_at_ones(m), _multisets(m, n) - _multisets(m, n - 2)
+        if value != expected:
+            wrong_values += 1
+            print(f"n={n}: WRONG VALUE {value} at {m} ones, expected {expected} from multiset counts")
+    if not_positive or wrong_values:
+        print(f"FAIL ({not_positive} of {checks} checks not Schur-positive, "
+              f"{wrong_values} of {checks} values at {m} ones wrong)")
         return EXIT_FAIL
-    print(f"PASS (h{args.m}[hn] - s_(2^{args.m}) odot h{args.m}[h(n-2)] "
+    print(f"PASS (h{m}[hn] - s_(2^{m}) odot h{m}[h(n-2)] "
           f"Schur-positive for 2 <= n <= {args.max_n})")
     return EXIT_OK
 

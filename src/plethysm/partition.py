@@ -75,9 +75,9 @@ def partitions_of(total: int, max_parts: int) -> list[Partition]:
         if remaining == 0:
             out.append(Partition._unchecked(prefix))
             return
-        if slots == 0:
-            return
-        smallest = -(-remaining // slots)  # first part must cover its share
+        # The first part must cover its share, so a last slot takes all that
+        # remains and slots never runs out while anything does.
+        smallest = -(-remaining // slots)
         for first in range(min(remaining, largest), smallest - 1, -1):
             descend(remaining - first, first, slots - 1, prefix + (first,))
 

@@ -15,25 +15,25 @@ the displayed equations hold verbatim for every n >= 0, base cases included
 (they give h2[h0] = h3[h0] = 1, h2[h1] = s_2 and h3[h1] = s_3).
 
 Multiplying by a single Schur function, s_mu odot X, only adds mu to every
-index of X: no two terms merge. So the recurrences unroll into shifts of
-thin layers:
+index of X: no two terms merge. So the recurrences unroll into one shift
+rule over thin layers:
 
-    D(n)    = T(n) + s_441 odot T(n-3),
-    h3[hn]  = sum_{i=0}^{floor(n/2)} s_(2i,2i,2i) odot D(n-2i),
+    h3[hn]  = T(n) + sum_{d=2}^{n} s_mu(d) odot T(n-d),
+              mu(d) = (d, d, d) for even d, (d+1, d+1, d-2) for odd d,
     h2[hn]  = sum_{i=0}^{floor(n/2)} s_(2i,2i) odot s_(2n-4i).
 
-D(n) is the part of h3[hn] whose third part is 0 (from T) or 1 (from
-s_441 odot T). Shifting it by (2i, 2i, 2i) makes that third part 2i or
-2i + 1, so the summands of h3[hn] have disjoint supports and every term of
-h3[hn] is exactly one shifted term of one layer. The cache stores only the
-layers T(j), each of O(j) terms, and assembles h3[hn] by shifting, in time
-and memory proportional to its size: O(n^2) for a cold h3[hn]. h2[hn] is
-built afresh on every call, in O(n). D is read straight from T and never
-stored.
+Unrolled, s_222 odot h3[h_{n-2}] shifts T(n-2i) by (2i, 2i, 2i), the even
+d = 2i, and s_441 odot T(n-2i-3) by (2i+4, 2i+4, 2i+1), the odd d = 2i+3.
+A shifted T(n-d) has third part d for even d and d - 2 for odd d, so the
+summands of h3[hn] have disjoint supports and every term of h3[hn] is
+exactly one shifted term of one layer. The cache stores only the layers
+T(j), each of O(j) terms, filled in one ascending pass, and assembles
+h3[hn] by shifting, in time and memory proportional to its size: O(n^2)
+for a cold h3[hn]. h2[hn] is built afresh on every call, in O(n).
 
 A layer keys each term s_(a, b) by the padded pair (a, b), with b = 0
 allowed, so a shift is one tuple expression with no branch: (a + 6, b + 6)
-from T(j - 4) to T(j), and (a + x, b + y, z) from T(j) into h3[hn]. Every
+from T(j - 4) to T(j), and (a + x, b + x, z) from T(j) into h3[hn]. Every
 shift but the empty one has positive parts, and a shifted partition is a
 partition, so those keys are canonical as built. Only the unshifted layer,
 read through ``h3_two_row``, has zeros to strip.
@@ -78,23 +78,15 @@ def _two_row_step(previous: dict[tuple[int, int], int], j: int) -> dict[tuple[in
     return terms
 
 
-def _h3_shifts(n: int):
-    # (j, mu) with h3[hn] = T(n) + sum of s_mu odot T(j): for each i, the
-    # second half of D(n - 2i) shifted by (2i, 2i, 2i), and the first half
-    # of D(n - 2i - 2) shifted by (2i + 2, 2i + 2, 2i + 2). Third parts
-    # 2i + 1 and 2i + 2. At the last i, j < 0 and the layer is empty.
-    for i in range(n // 2 + 1):
-        yield n - 2 * i - 3, (2 * i + 4, 2 * i + 4, 2 * i + 1)
-        yield n - 2 * i - 2, (2 * i + 2,) * 3
-
-
 class RecurrenceCache:
-    """Memo table for the h3 recurrence: the layers T(j), filled bottom-up
-    and kept. h3[hn] is assembled from them on every call and not kept, and
-    h2[hn] needs no layers. A layer is never mutated once stored, so every
-    call equals a fresh recomputation. Concurrent use is safe without a
-    lock: building a layer twice is idempotent, and an entry is fully built
-    before it is assigned.
+    """Memo table for the h3 recurrence: the layers T(j), filled in one
+    ascending pass and kept. h3[hn] is T(n) plus each lower layer T(n - d)
+    shifted once by mu(d), assembled on every call and not kept; h2[hn]
+    needs no layers. A layer is never mutated once stored, so every call
+    equals a fresh recomputation. Concurrent use is safe without a lock: a
+    thread stores T(j) only after T(j - 1) is there, so the keys stay
+    0..len - 1, building a layer twice is idempotent, and an entry is fully
+    built before it is assigned.
     """
 
     __slots__ = ("_two_row",)
@@ -103,16 +95,12 @@ class RecurrenceCache:
         self._two_row: dict[int, dict[tuple[int, int], int]] = {}
 
     def _layer(self, n: int) -> dict[tuple[int, int], int]:
-        # The terms of T(n), filling T(j) for j = n % 4, n % 4 + 4, ..., n
-        # bottom up, so the entry j - 4 that T(j) reads is already there.
-        if n < 0:
-            return {}
+        # The terms of T(n), empty for negative n, after filling every
+        # missing T(j), j <= n, in ascending order.
         table = self._two_row
-        if n not in table:
-            for j in range(n % 4, n + 1, 4):
-                if j not in table:
-                    table[j] = _two_row_step(table.get(j - 4, {}), j)
-        return table[n]
+        for j in range(len(table), n + 1):
+            table[j] = _two_row_step(table.get(j - 4, {}), j)
+        return table.get(n, {})
 
     def h2(self, n: int) -> SchurSum:
         return h2_rec(n)
@@ -123,11 +111,11 @@ class RecurrenceCache:
                                for lam, c in self._layer(n).items()})
 
     def h3(self, n: int) -> SchurSum:
-        if n < 0:
-            return SchurSum.zero()
-        terms = dict(self.h3_two_row(n)._terms)
-        for j, (x, y, z) in _h3_shifts(n):
-            terms.update({(a + x, b + y, z): c for (a, b), c in self._layer(j).items()})
+        terms = dict(self.h3_two_row(n)._terms)  # fills T(0), ..., T(n)
+        for j in range(n - 1):
+            d = n - j
+            x, z = (d, d) if d % 2 == 0 else (d + 1, d - 2)
+            terms.update({(a + x, b + x, z): c for (a, b), c in self._two_row[j].items()})
         return SchurSum._wrap(terms)
 
 
@@ -150,14 +138,16 @@ def dent_differences(m: int, max_n: int):
 
     Uses the closed form for m = 2 and the recurrence for m = 3. Each
     h_m[h_k] is built once, in full, and only the previous two are held.
-    For m = 3 the difference equals the layer D(n) term for term
-    whatever the layers hold: outside D(n) the shifted layer entries of
-    s_222 odot h3[h_{n-2}] are the same entries as in h3[hn], so they
-    cancel, and D(n) is positive by construction. So for m = 3 a positivity
-    check of the sweep certifies the plethysm only together with the
-    recurrence-vs-thrall comparison of verify at the same n, as the
-    certify workload runs them; test_dent_difference_is_built_from_full_sums
-    pins the differences to Thrall's closed formula.
+    For m = 3 the difference equals D(n) = T(n) + s_441 odot T(n-3) term
+    for term whatever the layers hold: s_222 odot h3[h_{n-2}] is the sum of
+    the shifted layers of h3[hn] with d = 2 and d >= 4, so they cancel, and
+    D(n) is positive by construction. Positivity alone therefore certifies
+    nothing for m = 3. cli.cmd_dent also checks each difference's value at
+    m ones against a count of multisets of monomials that shares no code
+    with the layers, which a wrong layer entry fails unless its errors
+    cancel in dimension. Comparing the differences with Thrall's in the
+    CLI is still ROADMAP item 3; test_dent_difference_is_built_from_full_sums
+    does it for n <= 24.
     """
     if m == 2:
         build, column = h2_closed, _S22

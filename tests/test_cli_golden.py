@@ -10,6 +10,7 @@ import re
 import pytest
 
 import plethysm.cli as cli
+import plethysm.recurrence as recurrence
 from plethysm import RecurrenceCache, SchurSum, s
 from plethysm.cli import main
 
@@ -251,7 +252,45 @@ def test_dent_failure_golden(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == """\
 n=2: NOT POSITIVE, negative terms [([4, 2], -1)]
+n=2: WRONG VALUE 1 at 3 ones, expected 55 from multiset counts
 n=3: positive (1 terms)
-FAIL (1 of 2 checks not Schur-positive)
+n=3: WRONG VALUE 55 at 3 ones, expected 210 from multiset counts
+FAIL (1 of 2 checks not Schur-positive, 2 of 2 values at 3 ones wrong)
+"""
+    assert captured.err == ""
+
+
+def test_dent_wrong_layer_golden(capsys, monkeypatch):
+    # A wrong layer entry keeps every difference positive, since the
+    # difference is the layer D(n) itself; only the value at ones sees it.
+    # T(9) feeds D(9), D(12) and, through T(13), D(13).
+    step = recurrence._two_row_step
+
+    def wrong_step(previous, j):
+        terms = step(previous, j)
+        if j == 9:
+            terms[27, 0] += 7
+        return terms
+
+    monkeypatch.setattr(recurrence, "_two_row_step", wrong_step)
+    assert main(["dent", "--m", "3", "--max-n", "13"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == """\
+n=2: positive (2 terms)
+n=3: positive (4 terms)
+n=4: positive (6 terms)
+n=5: positive (8 terms)
+n=6: positive (10 terms)
+n=7: positive (14 terms)
+n=8: positive (17 terms)
+n=9: positive (19 terms)
+n=9: WRONG VALUE 23666 at 3 ones, expected 20824 from multiset counts
+n=10: positive (22 terms)
+n=11: positive (26 terms)
+n=12: positive (29 terms)
+n=12: WRONG VALUE 92194 at 3 ones, expected 79650 from multiset counts
+n=13: positive (31 terms)
+n=13: WRONG VALUE 140335 at 3 ones, expected 116325 from multiset counts
+FAIL (0 of 12 checks not Schur-positive, 3 of 12 values at 3 ones wrong)
 """
     assert captured.err == ""

@@ -104,6 +104,15 @@ def test_hh_monomial_budget_guard():
     assert plethysm_hh_monomial(3, 8, 3, budget=None).total() == info.value.required
 
 
+def test_hh_monomial_table_total_check_fires(monkeypatch):
+    # One monomial fewer: the table counts multisets of 9 monomials, the
+    # check C(M + m - 1, m) counts those of all M = 10.
+    listed = oracle.monomials_of_degree
+    monkeypatch.setattr(oracle, "monomials_of_degree", lambda degree, k: listed(degree, k)[1:])
+    with pytest.raises(AssertionError, match="table counts 165 multisets, expected 220"):
+        plethysm_hh_monomial(3, 3, 3)
+
+
 def test_schur_poly_known_values():
     assert schur_poly(Partition([1]), 2).terms == {(1, 0): 1, (0, 1): 1}
     assert schur_poly(Partition([2, 1]), 2).terms == {(2, 1): 1, (1, 2): 1}
@@ -162,6 +171,14 @@ def test_monomial_to_schur_rejects_asymmetric_with_dominant_lead():
         monomial_to_schur(MonomialPoly(2, {(1, 0): 1}))
     with pytest.raises(ValueError, match="not symmetric"):
         monomial_to_schur(MonomialPoly(2, {(2, 1): 1, (1, 2): 2}))
+
+
+def test_monomial_to_schur_weyl_check_fires(monkeypatch):
+    # With every Kostka number 0 nothing is peeled below a lead weight, so
+    # every dominant weight reads as a Schur term of its own.
+    monkeypatch.setattr(oracle, "_kostka", lambda lam, mu, memo: 0)
+    with pytest.raises(AssertionError, match="Schur expansion sums to 1137 at ones, input to 220"):
+        plethysm_oracle(3, 3)
 
 
 def test_kostka_matches_tableau_enumeration():

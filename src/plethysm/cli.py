@@ -42,19 +42,17 @@ def _now_ms() -> float:
 
 ORACLE = "oracle"
 
-# The one table of routes, m -> route -> callable(n, cache, budget), that
-# expand, verify and bench iterate over. The brute-force oracle runs last
-# and on fewer n, up to --oracle-max-n.
+# Each m's direct routes, m -> route -> callable(n, cache), that expand,
+# verify and bench iterate over. The brute-force oracle is every m's one
+# reference, called on its own as plethysm_oracle(m, n, budget=...).
 _METHODS = {
     3: {
-        "recurrence": lambda n, cache, budget: cache.h3(n),
-        "thrall": lambda n, cache, budget: h3_thrall(n),
-        ORACLE: lambda n, cache, budget: plethysm_oracle(3, n, budget=budget),
+        "recurrence": lambda n, cache: cache.h3(n),
+        "thrall": lambda n, cache: h3_thrall(n),
     },
     2: {
-        "recurrence": lambda n, cache, budget: cache.h2(n),
-        "closed": lambda n, cache, budget: h2_closed(n),
-        ORACLE: lambda n, cache, budget: plethysm_oracle(2, n, budget=budget),
+        "recurrence": lambda n, cache: cache.h2(n),
+        "closed": lambda n, cache: h2_closed(n),
     },
 }
 
@@ -64,12 +62,15 @@ _METHODS = {
 
 def cmd_expand(args) -> int:
     table = _METHODS[args.m]
-    if args.method not in table:
-        valid = ", ".join(sorted(table))
+    if args.method == ORACLE:
+        total = plethysm_oracle(args.m, args.n, budget=args.budget)
+    elif args.method in table:
+        total = table[args.method](args.n, RecurrenceCache())
+    else:
+        valid = ", ".join(sorted([*table, ORACLE]))
         print(f"error: method {args.method!r} is not valid for m={args.m} (use one of: {valid})",
               file=sys.stderr)
         return EXIT_USAGE
-    total = table[args.method](args.n, RecurrenceCache(), args.budget)
     if args.format == "json":
         print(dumps({"m": args.m, "n": args.n, "method": args.method, "terms": total.json_terms()}))
     else:
@@ -84,11 +85,11 @@ class VerificationReport:
     """Outcome of the cross-method comparison: mismatches, positivity
     failures and each route's summed call time."""
 
-    def __init__(self, oracle_range: tuple[int, int], elapsed_ms: dict[str, float]) -> None:
+    def __init__(self, oracle_range: tuple[int, int]) -> None:
         self.oracle_range = oracle_range
         self.mismatches: list[tuple] = []
         self.positivity_failures: list[tuple] = []
-        self.elapsed_ms = elapsed_ms
+        self.elapsed_ms: dict[str, float] = {}
 
     @property
     def passed(self) -> bool:
@@ -108,11 +109,6 @@ def _record_mismatches(label: str, n: int, values: dict[str, SchurSum], sink: li
             sink.append((label, n, list(lam), coeffs))
 
 
-def _direct_routes(m: int) -> str:
-    """``recurrence vs thrall``: the routes verify runs on every n."""
-    return " vs ".join(route for route in _METHODS[m] if route != ORACLE)
-
-
 def _positivity_failures(n: int, total: SchurSum) -> list[tuple]:
     """The terms of h3[hn] that are negative or have more than three rows,
     in descending order. Only a failing sum is sorted into terms."""
@@ -123,51 +119,47 @@ def _positivity_failures(n: int, total: SchurSum) -> list[tuple]:
 
 
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
-    """Expand h3 and h2 by every route and compare: the direct routes with
-    one another on [0, max_n], the oracle with all of them on
-    [0, min(oracle_max_n, max_n)].
+    """Expand h3 and h2 by every route and compare, in two sweeps.
 
-    One pass over n: every route's value at n is computed, compared and
-    dropped before n + 1, so the sweep holds O(max_n^2) terms, the size of
-    one h3[hn]. ``elapsed_ms["h{m}_{route}"]`` sums the times of that
-    route's calls alone, direct routes first, then the oracle. Mismatches
-    are listed direct routes first, by n, then the oracle's, by m and then
-    n; positivity failures of the recurrence's h3 by n. Within one n,
-    shapes come in descending order.
+    The first compares each m's direct routes on [0, max_n] and scans the
+    recurrence's h3 for positivity. It drops every value at n before
+    n + 1, so it holds O(max_n^2) terms, the size of one h3[hn]. The
+    second compares the oracle with the direct routes, for each m on
+    [0, min(oracle_max_n, max_n)], and recomputes those routes untimed
+    from the warm cache: keeping them would hold every h3(n) up to
+    oracle_max_n, O(oracle_max_n^3) terms. ``elapsed_ms["h{m}_{route}"]``
+    sums the times of that route's calls. Its keys and the mismatches
+    follow the sweeps: direct routes by n, then the oracle by m and then
+    n. Positivity failures come by n; within one n, shapes descend.
     """
     ora_hi = min(oracle_max_n, max_n)
-    runs = sorted(((f"h{m}_{route}", m, route, expand)
-                   for m, routes in _METHODS.items() for route, expand in routes.items()),
-                  key=lambda run: run[2] == ORACLE)  # stable: oracle last
-    report = VerificationReport(oracle_range=(0, ora_hi),
-                                elapsed_ms=dict.fromkeys((run[0] for run in runs), 0.0))
-    oracle_mismatches: dict[int, list] = {m: [] for m in _METHODS}
+    report = VerificationReport(oracle_range=(0, ora_hi))
+
+    def timed(key: str, expand, *args, **kwargs) -> SchurSum:
+        start = _now_ms()
+        total = expand(*args, **kwargs)
+        report.elapsed_ms[key] = report.elapsed_ms.get(key, 0.0) + _now_ms() - start
+        return total
+
     cache = RecurrenceCache()
     for n in range(max_n + 1):
-        values: dict[int, dict[str, SchurSum]] = {m: {} for m in _METHODS}
-        for key, m, route, expand in runs:
-            if route == ORACLE and n > ora_hi:
-                continue
-            start = _now_ms()
-            values[m][route] = expand(n, cache, budget)
-            report.elapsed_ms[key] += _now_ms() - start
-        for m, by_route in values.items():
-            _record_mismatches(f"h{m} {_direct_routes(m)}", n,
-                               {route: v for route, v in by_route.items() if route != ORACLE},
-                               report.mismatches)
-            if ORACLE in by_route:
-                _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, oracle_mismatches[m])
-        # No name in this loop may hold h3(n) while h3(n + 1) is built.
+        values = {}  # no name in this loop may hold h3(n) while h3(n + 1) is built
+        for m, routes in _METHODS.items():
+            values[m] = {route: timed(f"h{m}_{route}", expand, n, cache) for route, expand in routes.items()}
+            _record_mismatches(f"h{m} {' vs '.join(routes)}", n, values[m], report.mismatches)
         report.positivity_failures.extend(_positivity_failures(n, values[3]["recurrence"]))
-    for sink in oracle_mismatches.values():
-        report.mismatches.extend(sink)
+    for m, routes in _METHODS.items():
+        for n in range(ora_hi + 1):
+            by_route = {route: expand(n, cache) for route, expand in routes.items()}
+            by_route[ORACLE] = timed(f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
+            _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, report.mismatches)
     return report
 
 
 def cmd_verify(args) -> int:
     report = run_verify(args.max_n, args.oracle_max_n, args.budget)
-    for m in _METHODS:
-        print(f"h{m}: {_direct_routes(m)} on n in [0,{args.max_n}], "
+    for m, routes in _METHODS.items():
+        print(f"h{m}: {' vs '.join(routes)} on n in [0,{args.max_n}], "
               f"vs {ORACLE} on n in [0,{report.oracle_range[1]}]")
     for name, ms in report.elapsed_ms.items():
         print(f"  {name}: {ms:.1f} ms")
@@ -254,18 +246,20 @@ def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
     """Time every h3 route on n >= 1. Each repeat starts cold: it builds its
     own RecurrenceCache, and the package keeps nothing between calls."""
     result = BenchResult()
-    oracle_hi = min(oracle_max_n, max_n)
+    runs = [(route, expand, max_n) for route, expand in _METHODS[3].items()]
+    runs.append((ORACLE, lambda n, cache: plethysm_oracle(3, n, budget=budget),
+                 min(oracle_max_n, max_n)))
     for _ in range(repeats):
         cache = RecurrenceCache()
-        for route, expand in _METHODS[3].items():
-            for n in range(1, (oracle_hi if route == ORACLE else max_n) + 1):
+        for route, expand, hi in runs:
+            for n in range(1, hi + 1):
                 try:
                     start = _now_ms()
-                    expand(n, cache, budget)
+                    expand(n, cache)
                     ms = _now_ms() - start
                     result.millis[n, route] = min(ms, result.millis.get((n, route), ms))
                 except BudgetExceededError:
-                    break  # the oracle's count only grows with n
+                    break  # only the oracle refuses, and its count only grows with n
     return result
 
 
@@ -274,18 +268,23 @@ def _cell(ms: float | None) -> str:
 
 
 def cmd_bench(args) -> int:
+    try:  # before any timing: a path that cannot be written is a usage error
+        csv = open(args.csv, "w", encoding="utf-8") if args.csv else None
+    except OSError as exc:
+        print(f"error: cannot write {args.csv}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     result = run_bench(args.max_n, args.repeats, args.oracle_max_n, args.budget)
-    methods = list(_METHODS[3])
+    methods = [*_METHODS[3], ORACLE]
     print(f"best of {args.repeats} repeats, milliseconds")
     print("%6s%s" % ("n", "".join("%14s" % m for m in methods)))
     for n in range(1, args.max_n + 1):
         print("%6d%s" % (n, "".join(_cell(result.millis.get((n, method))) for method in methods)))
     print("%6s%s" % ("total", "".join(_cell(result.total(m)) for m in methods)))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write("n,method,millis\n")
+    if csv:
+        with csv:
+            csv.write("n,method,millis\n")
             for n, method, ms in result.rows():
-                handle.write(f"{n},{method},{ms:.3f}\n")
+                csv.write(f"{n},{method},{ms:.3f}\n")
         print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK
 
@@ -318,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, choices=(2, 3), default=3)
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--method", default="recurrence",
-                   choices=sorted(dict.fromkeys(route for routes in _METHODS.values() for route in routes),
-                                  key=lambda route: route == ORACLE))
+                   choices=[*dict.fromkeys(route for routes in _METHODS.values() for route in routes), ORACLE])
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
                    help="oracle multiset budget")

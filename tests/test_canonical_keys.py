@@ -8,7 +8,7 @@ no zeros.
 
 import pytest
 
-from plethysm import Partition, RecurrenceCache, dent_differences
+from plethysm import Partition, RecurrenceCache, dent_differences, plethysm_oracle
 from plethysm.cli import ORACLE, _METHODS
 
 MAX_N = 30
@@ -23,11 +23,15 @@ def assert_canonical(total):
     assert all(type(lam) is Partition for lam in total.support())
 
 
-@pytest.mark.parametrize("m, route", [(m, route) for m, routes in _METHODS.items() for route in routes])
+@pytest.mark.parametrize("m, route", [(m, route) for m, routes in _METHODS.items() for route in [*routes, ORACLE]])
 def test_route_keys_are_canonical(m, route):
+    if route == ORACLE:
+        for n in range(ORACLE_MAX_N + 1):
+            assert_canonical(plethysm_oracle(m, n, budget=None))
+        return
     cache = RecurrenceCache()
-    for n in range((ORACLE_MAX_N if route == ORACLE else MAX_N) + 1):
-        assert_canonical(_METHODS[m][route](n, cache, None))
+    for n in range(MAX_N + 1):
+        assert_canonical(_METHODS[m][route](n, cache))
 
 
 @pytest.mark.parametrize("m", [2, 3])

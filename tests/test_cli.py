@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from plethysm import RecurrenceCache, SchurSum, s
+from plethysm import BudgetExceededError, RecurrenceCache, SchurSum, s
 from plethysm.cli import main
 import plethysm.cli as cli
 
@@ -117,7 +117,7 @@ def test_verify_reports_positivity_failures(capsys, monkeypatch, terms, failures
     bad = SchurSum(terms)
     recurrence = cli._METHODS[3]["recurrence"]
     monkeypatch.setitem(cli._METHODS[3], "recurrence",
-                        lambda n, cache, budget: bad if n == 2 else recurrence(n, cache, budget))
+                        lambda n, cache: bad if n == 2 else recurrence(n, cache))
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--oracle-max-n", "0")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("POSITIVITY")] == [
@@ -139,6 +139,16 @@ def test_verify_memory_stays_quadratic():
     # Keeping every route's value at every n peaks at about 29 MB.
     report, peak = _traced(lambda: cli.run_verify(80, 4))
     assert report.passed
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    # The oracle sweep starts after the direct sweep and refuses at n = 1:
+    # nothing may be kept from the direct sweep for it, whatever
+    # oracle_max_n is.
+    def refused():
+        with pytest.raises(BudgetExceededError):
+            cli.run_verify(100, 100, budget=1)
+
+    _, peak = _traced(refused)
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -215,6 +225,16 @@ def test_bench_table_and_csv(capsys, tmp_path):
         (str(n), method) for n in (1, 2, 3) for method in ("recurrence", "thrall")
     } | {(str(n), "oracle") for n in (1, 2)}
     assert all(float(r[2]) >= 0 for r in rows)
+
+
+def test_bench_csv_path_that_cannot_be_opened(capsys, tmp_path, monkeypatch):
+    # The file is opened before any timing: a bad path is a usage error,
+    # with no table on stdout and no timing run.
+    monkeypatch.setattr(cli, "run_bench", None)
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, "bench", "--max-n", "2", "--csv", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 # Every CLI run starts a process, so what importing the CLI loads is paid

@@ -102,13 +102,39 @@ best of 1 repeats, milliseconds
 """,
     ),
     (
+        ["expand", "--m", "2", "--n", "4", "--method", "oracle", "--format", "json"],
+        0,
+        '{"m":2,"n":4,"method":"oracle","terms":[{"lambda":[8],"coeff":1},'
+        '{"lambda":[6,2],"coeff":1},{"lambda":[4,4],"coeff":1}]}\n',
+    ),
+    (
         ["expand", "--m", "2", "--n", "3", "--method", "thrall"],
         2,
         "",
     ),
+    (
+        ["expand", "--m", "3", "--n", "3", "--method", "closed"],
+        2,
+        "",
+    ),
+    (
+        # The direct routes agree through n = 3, then the budget refuses
+        # the oracle at n = 1: nothing is printed but the refusal.
+        ["verify", "--max-n", "3", "--oracle-max-n", "3", "--budget", "3"],
+        3,
+        "",
+    ),
 ]
 
-USAGE_ERROR = "error: method 'thrall' is not valid for m=2 (use one of: closed, oracle, recurrence)\n"
+# stderr of the cases that write to it; every other case writes nothing.
+STDERR = {
+    "expand --m 2 --n 3 --method thrall":
+        "error: method 'thrall' is not valid for m=2 (use one of: closed, oracle, recurrence)\n",
+    "expand --m 3 --n 3 --method closed":
+        "error: method 'closed' is not valid for m=3 (use one of: oracle, recurrence, thrall)\n",
+    "verify --max-n 3 --oracle-max-n 3 --budget 3":
+        "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 3\n",
+}
 
 
 @pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
@@ -116,7 +142,7 @@ def test_cli_golden(capsys, argv, code, stdout):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert _TIMING.sub("<t>", captured.out) == stdout
-    assert captured.err == (USAGE_ERROR if code else "")
+    assert captured.err == STDERR.get(" ".join(argv), "")
 
 
 # Failing runs of `verify --max-n 8 --oracle-max-n 4`, each route's fault

@@ -10,12 +10,12 @@ import argparse
 import json
 import sys
 import time
-from math import comb
 
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     foulkes_difference,
+    multiset_count,
     plethysm_oracle,
 )
 from .recurrence import RecurrenceCache, dent_differences, h2_closed
@@ -190,11 +190,6 @@ def cmd_foulkes(args) -> int:
     return EXIT_OK if positive else EXIT_FAIL
 
 
-def _multisets(m: int, n: int) -> int:
-    """h_m[h_n] at m ones: the multisets of m degree-n monomials in m variables."""
-    return comb(comb(n + m - 1, m - 1) + m - 1, m)
-
-
 def cmd_dent(args) -> int:
     if args.max_n < 2:
         print("error: --max-n must be at least 2", file=sys.stderr)
@@ -209,8 +204,9 @@ def cmd_dent(args) -> int:
             bad = [(list(lam), c) for lam, c in diff.terms() if c < 0]
             print(f"n={n}: NOT POSITIVE, negative terms {bad}")
         # A full column leaves Weyl's product unchanged, so s_(2^m) odot X
-        # has the value of X at m ones.
-        value, expected = diff.eval_at_ones(m), _multisets(m, n) - _multisets(m, n - 2)
+        # has the value of X at m ones, and h_m[h_n] at m ones counts the
+        # multisets of m degree-n monomials in m variables.
+        value, expected = diff.eval_at_ones(m), multiset_count(m, n, m) - multiset_count(m, n - 2, m)
         if value != expected:
             wrong_values += 1
             print(f"n={n}: WRONG VALUE {value} at {m} ones, expected {expected} from multiset counts")
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="print the Schur expansion of h_m[h_n]")
-    p.add_argument("--m", type=int, choices=(2, 3), default=3)
+    p.add_argument("--m", type=int, choices=sorted(_METHODS), default=3)
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--method", default="recurrence",
                    choices=[*dict.fromkeys(route for routes in _METHODS.values() for route in routes), ORACLE])

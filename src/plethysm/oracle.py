@@ -35,16 +35,12 @@ DEFAULT_BUDGET = 50_000_000
 class BudgetExceededError(RuntimeError):
     """A brute-force expansion is too large for its budget.
 
-    The size is the number of multisets the expansion sums over, known
-    before anything is built. The table does not visit them one by one; the
-    count bounds its output, and its work within a factor: with M monomials
-    and m factors it makes at most C(M + m, m) - 1 = (1 + m/M) * count - 1
-    dict updates, reached when no two multisets share an exponent sum
-    (h10[h1] in 10 variables: 92,378 multisets, 184,755 updates).
+    ``required`` is its size in ``unit``s, known before anything is built;
+    ``plethysm_hh_monomial`` says how each of its two sizes bounds the work.
     """
 
-    def __init__(self, required: int, budget: int, what: str) -> None:
-        super().__init__(f"{what} needs {required} multisets, budget is {budget}")
+    def __init__(self, required: int, budget: int, what: str, unit: str = "multisets") -> None:
+        super().__init__(f"{what} needs {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -108,6 +104,11 @@ def monomials_of_degree(degree: int, k: int) -> list[tuple[int, ...]]:
     return [tuple(map(c.count, range(k))) for c in combinations_with_replacement(range(k), degree)]
 
 
+def multiset_count(m: int, n: int, k: int) -> int:
+    """The multisets of m degree-n monomials in k variables: h_m[h_n] at k ones."""
+    return comb(comb(n + k - 1, k - 1) + m - 1, m)
+
+
 def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BUDGET) -> MonomialPoly:
     """h_m[h_n] as a polynomial in k variables, by counting multisets of monomials.
 
@@ -117,25 +118,41 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     of j-element multisets of the monomials seen so far that reach it.
     Each monomial u adds layers[j - 1] shifted by u into layers[j] for j
     ascending, so layers[j - 1] already holds multisets that use u and u
-    may repeat. That is M * sum_j |layers[j]| dict updates, against the
-    C(M + m - 1, m) multisets a walk would visit. Exponent vectors are
-    packed into single integers (base m*n + 1, which no accumulated
-    exponent can reach), so a shift is plain integer addition; keys are
-    unpacked at the end. The coefficients of layers[m] must add up to the
-    multiset count; AssertionError otherwise.
+    may repeat. That is M * sum_j |layers[j - 1]| dict updates, with
+    M = C(n + k - 1, k - 1) monomials. Exponent vectors are packed into
+    single integers (base m*n + 1, which no accumulated exponent can
+    reach), so a shift is plain integer addition; keys are unpacked at the
+    end. The coefficients of layers[m] must add up to the multiset count;
+    AssertionError otherwise.
 
     Raises BudgetExceededError up front, before any monomial is built,
-    when the multiset count C(M + m - 1, m), M = C(n + k - 1, k - 1),
-    exceeds the budget. The count bounds the table's work within a factor:
-    at most C(M + m, m) - 1 = (1 + m/M) * count - 1 dict updates, reached
-    when no two multisets share an exponent sum, as at h_m[h_1].
+    when either of two bounds on that work exceeds the budget, checked in
+    this order:
+
+    * the multiset count C(M + m - 1, m), which a walk would visit. The
+      table makes at most C(M + m, m) - 1 = (1 + m/M) * count - 1 dict
+      updates, reached when no two multisets share an exponent sum, as at
+      h_m[h_1] (h10[h1] in 10 variables: 92,378 multisets, 184,755
+      updates);
+    * W = M * sum_{j=1..m} C(jn + k - 1, k - 1), in "table updates".
+      layers[j] holds at most one key per monomial of degree jn, and that
+      number grows with j, so W bounds both the dict updates and the
+      largest layer. Over k = m and m, n < 25, at the default budget, it
+      refuses only what the count admits at h13[h1] and h14[h1], where
+      every multiset keeps its own key (h14[h1]: 20,058,300 multisets,
+      40,116,599 dict updates, W = 561,632,386).
     """
     if m < 1:
         raise ValueError("m must be positive")
     _check_degree(n, k)
-    count = comb(comb(n + k - 1, k - 1) + m - 1, m)
-    if budget is not None and count > budget:
-        raise BudgetExceededError(count, budget, f"h{m}[h{n}] in {k} variables")
+    what = f"h{m}[h{n}] in {k} variables"
+    count = multiset_count(m, n, k)
+    if budget is not None:
+        if count > budget:
+            raise BudgetExceededError(count, budget, what)
+        work = comb(n + k - 1, k - 1) * sum(comb(j * n + k - 1, k - 1) for j in range(1, m + 1))
+        if work > budget:
+            raise BudgetExceededError(work, budget, what, unit="table updates")
 
     base = m * n + 1
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m)]
@@ -150,7 +167,7 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     del layers  # the lower layers are spent; free them before unpacking
     total = sum(accum.values())
     if total != count:
-        raise AssertionError(f"h{m}[h{n}] in {k} variables: table counts {total} multisets, expected {count}")
+        raise AssertionError(f"{what}: table counts {total} multisets, expected {count}")
 
     terms: dict[tuple[int, ...], int] = {}
     for code, c in accum.items():
@@ -253,12 +270,16 @@ def _check_symmetric(poly: MonomialPoly) -> dict[tuple[int, ...], int]:
     # keyed by canonical tuple (zeros dropped), after checking every term:
     # each exponent vector must carry the coefficient of its sorted
     # rearrangement, and each orbit must hold all k!/prod(mult!) of its
-    # rearrangements. Exponents must be nonnegative ints, checked once per
-    # orbit on its sorted lead, whose last entry is its least.
+    # rearrangements. Exponents must be nonnegative ints: those that cannot
+    # be compared fail the sort, the rest are checked once per orbit on its
+    # sorted lead, types first, then its last entry, which is its least.
     terms = poly.terms
     orbits: dict[tuple[int, ...], int] = {}
     for exps, c in terms.items():
-        lead = tuple(sorted(exps, reverse=True))
+        try:
+            lead = tuple(sorted(exps, reverse=True))
+        except TypeError:
+            raise ValueError(f"exponents must be nonnegative ints: {exps}") from None
         if terms.get(lead, 0) != c:
             raise ValueError(
                 f"not symmetric: {exps} has coefficient {c}, {lead} has {terms.get(lead, 0)}"
@@ -267,7 +288,7 @@ def _check_symmetric(poly: MonomialPoly) -> dict[tuple[int, ...], int]:
     k = poly.k
     dominant: dict[tuple[int, ...], int] = {}
     for lead, count in orbits.items():
-        if lead[-1] < 0 or not set(map(type, lead)) <= {int}:
+        if not set(map(type, lead)) <= {int} or lead[-1] < 0:
             raise ValueError(f"exponents must be nonnegative ints: {lead}")
         full = factorial(k) // prod(map(factorial, Counter(lead).values()))
         if count != full:

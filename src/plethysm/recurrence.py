@@ -46,9 +46,6 @@ no sums; dent_differences holds its own window of the two previous ones.
 
 from .schur import SchurSum, s
 
-_S22 = s(2, 2)
-_S222 = s(2, 2, 2)
-
 
 def h2_closed(n: int) -> SchurSum:
     """h2[hn] by the closed formula: floor(n/2) + 1 terms, coefficient 1 each."""
@@ -150,11 +147,12 @@ def dent_differences(m: int, max_n: int):
     does it for n <= 24.
     """
     if m == 2:
-        build, column = h2_closed, _S22
+        build = h2_closed
     elif m == 3:
-        build, column = RecurrenceCache().h3, _S222
+        build = RecurrenceCache().h3
     else:
         raise ValueError("m must be 2 or 3")
+    column = s(*(2,) * m)
     older, old = build(0), build(1)
     for n in range(2, max_n + 1):
         new = build(n)

@@ -124,6 +124,19 @@ best of 1 repeats, milliseconds
         3,
         "",
     ),
+    (
+        # h14[h1] in 14 variables passes the multiset count and is refused
+        # by the table's bound, before anything is built.
+        ["foulkes", "--m", "1", "--n", "14"],
+        3,
+        "",
+    ),
+    (
+        # The m that expand serves are the keys of cli._METHODS.
+        ["expand", "--m", "4", "--n", "2"],
+        2,
+        "",
+    ),
 ]
 
 # stderr of the cases that write to it; every other case writes nothing.
@@ -134,12 +147,25 @@ STDERR = {
         "error: method 'closed' is not valid for m=3 (use one of: oracle, recurrence, thrall)\n",
     "verify --max-n 3 --oracle-max-n 3 --budget 3":
         "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 3\n",
+    "foulkes --m 1 --n 14":
+        "budget exceeded: h14[h1] in 14 variables needs 561632386 table updates, budget is 50000000\n",
+    "expand --m 4 --n 2":
+        """\
+usage: plethysm expand [-h] [--m {2,3}] --n N
+                       [--method {recurrence,thrall,closed,oracle}]
+                       [--format {text,json}] [--budget BUDGET]
+plethysm expand: error: argument --m: invalid choice: 4 (choose from 2, 3)
+""",
 }
 
 
 @pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_cli_golden(capsys, argv, code, stdout):
-    assert main(argv) == code
+def test_cli_golden(capsys, monkeypatch, argv, code, stdout):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's usage errors
+        assert exc.code == code
     captured = capsys.readouterr()
     assert _TIMING.sub("<t>", captured.out) == stdout
     assert captured.err == STDERR.get(" ".join(argv), "")

@@ -102,6 +102,12 @@ def test_hh_monomial_budget_guard():
         plethysm_hh_monomial(3, 8, 3, budget=100)
     assert info.value.required == comb(comb(10, 2) + 2, 3)
     assert plethysm_hh_monomial(3, 8, 3, budget=None).total() == info.value.required
+    # h13[h1] in 13 variables: 5,200,300 multisets fit the default budget,
+    # but the table's bound 13 * sum_(j<=13) C(j + 12, 12), which is
+    # 13 * (C(26, 13) - 1) by the hockey-stick identity, does not.
+    with pytest.raises(BudgetExceededError) as info:
+        plethysm_hh_monomial(13, 1, 13)
+    assert info.value.required == 13 * (comb(26, 13) - 1)
 
 
 def test_hh_monomial_table_total_check_fires(monkeypatch):
@@ -224,9 +230,13 @@ def test_oracle_agrees_in_more_variables():
 
 def test_oracle_refuses_before_building_anything():
     # 293,930 degree-9 monomials in 13 variables, and 501,501 of degree
-    # 1000 in 3, would each take tens of MB to list.
+    # 1000 in 3, would each take tens of MB to list. h13[h1] and h14[h1]
+    # pass the multiset count at the default budget and are refused by the
+    # table's bound, before a table of GBs is built.
     for call in (lambda: plethysm_hh_monomial(2, 9, 13, budget=1),
-                 lambda: plethysm_oracle(3, 1000, budget=1)):
+                 lambda: plethysm_oracle(3, 1000, budget=1),
+                 lambda: plethysm_oracle(13, 1),
+                 lambda: plethysm_oracle(14, 1)):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
@@ -284,7 +294,8 @@ def test_monomial_poly_validates_inputs():
 
 def test_monomial_to_schur_rejects_bad_exponents():
     # Symmetric, so only the exponent check stands between these and the peel.
-    for k, terms in ((2, {(-1, 3): 1, (3, -1): 1}), (1, {(1.5,): 1}), (2, {(True, 0): 1, (0, True): 1})):
+    for k, terms in ((2, {(-1, 3): 1, (3, -1): 1}), (1, {(1.5,): 1}), (2, {(True, 0): 1, (0, True): 1}),
+                     (2, {("a", 0): 1, (0, "a"): 1}), (1, {(None,): 1})):
         with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
             monomial_to_schur(MonomialPoly(k, terms))
 

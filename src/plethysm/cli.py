@@ -30,7 +30,7 @@ EXIT_BUDGET = 3
 
 def dumps(obj) -> str:
     """Canonical JSON used for all machine-readable output."""
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 def _now_ms() -> float:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*dict.fromkeys(route for routes in _METHODS.values() for route in routes), ORACLE])
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
-                   help="oracle multiset budget")
+                   help="oracle budget on the multiset count and the table's updates")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="cross-check recurrence, closed form, and oracle")

@@ -12,6 +12,10 @@ Keys are canonical plain tuples (weakly decreasing, positive parts); a
 ``Partition`` hashes and compares like one, so it is a valid key too. It
 validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
 ``from_json_terms``, and only ``terms()`` and ``support()`` hand it out.
+
+The output order, descending lex on the keys, is decided in one place:
+``terms()``, ``json_terms()`` and ``str()`` all read the list that
+``_sorted_keys`` returns.
 """
 
 from __future__ import annotations
@@ -90,9 +94,14 @@ class SchurSum:
             lam = Partition(lam)
         return self._terms.get(lam, 0)
 
+    def _sorted_keys(self) -> list[tuple[int, ...]]:
+        # The output order of every renderer: keys in descending lex order.
+        return sorted(self._terms, reverse=True)
+
     def terms(self) -> list[tuple[Partition, int]]:
         """Terms as (partition, coefficient) pairs, descending lex order."""
-        return [(Partition._unchecked(lam), c) for lam, c in sorted(self._terms.items(), reverse=True)]
+        terms = self._terms
+        return [(Partition._unchecked(lam), terms[lam]) for lam in self._sorted_keys()]
 
     def support(self) -> set[Partition]:
         return {Partition._unchecked(lam) for lam in self._terms}
@@ -175,7 +184,8 @@ class SchurSum:
 
     def json_terms(self) -> list[dict]:
         """Terms in the wire format: [{"lambda": [...], "coeff": n}, ...]."""
-        return [{"lambda": list(lam), "coeff": c} for lam, c in sorted(self._terms.items(), reverse=True)]
+        terms = self._terms
+        return [{"lambda": list(lam), "coeff": terms[lam]} for lam in self._sorted_keys()]
 
     @classmethod
     def from_json_terms(cls, items: Iterable[Mapping]) -> "SchurSum":
@@ -184,18 +194,25 @@ class SchurSum:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        terms = self._terms
+        keys = self._sorted_keys()
+        # One %-template per row count; the constant term is its magnitude.
+        bodies = {rows: "s[%s]" % ",".join(("%d",) * rows) for rows in set(map(len, keys))}
         rendered = []
-        for lam, c in sorted(self._terms.items(), reverse=True):
+        for lam in keys:
+            c = terms[lam]
             magnitude = abs(c)
-            if lam:
-                body = "s[%s]" % ",".join(map(str, lam))
-                text = body if magnitude == 1 else f"{magnitude}*{body}"
-            else:
+            body = bodies[len(lam)] % lam
+            if not lam:
                 text = str(magnitude)
-            if not rendered:
-                rendered.append(text if c > 0 else "-" + text)
+            elif magnitude == 1:
+                text = body
             else:
-                rendered.append(("+ " if c > 0 else "- ") + text)
+                text = f"{magnitude}*{body}"
+            rendered.append(("+ " if c > 0 else "- ") + text)
+        # The first term drops the space after its sign, and a plus sign.
+        first = rendered[0]
+        rendered[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(rendered)
 
     def __repr__(self) -> str:

@@ -140,6 +140,62 @@ def test_text_rendering():
     assert str(-3 * s(2, 1)) == "-3*s[2,1]"
 
 
+def reference_items(total):
+    # Descending lex order on the (key, coefficient) items.
+    return sorted(total._terms.items(), reverse=True)
+
+
+def reference_str(total):
+    # The text form, one term at a time: the sign joins the first term and
+    # separates the others, and a magnitude of 1 is left out except on the
+    # constant term.
+    if not total._terms:
+        return "0"
+    rendered = []
+    for lam, c in reference_items(total):
+        magnitude = abs(c)
+        if lam:
+            body = "s[%s]" % ",".join(map(str, lam))
+            text = body if magnitude == 1 else f"{magnitude}*{body}"
+        else:
+            text = str(magnitude)
+        if not rendered:
+            rendered.append(text if c > 0 else "-" + text)
+        else:
+            rendered.append(("+ " if c > 0 else "- ") + text)
+    return " ".join(rendered)
+
+
+def reference_json_terms(total):
+    return [{"lambda": list(lam), "coeff": c} for lam, c in reference_items(total)]
+
+
+@st.composite
+def rendered_sum_strategy(draw):
+    # 0-6 rows, the empty partition, the zero sum; coefficients +-1, other
+    # negatives and ints above 2**64; Partition or plain-tuple keys.
+    shapes = draw(st.lists(partition_strategy(max_part=12, max_len=6), max_size=8))
+    coeff = st.one_of(st.sampled_from((1, -1)), st.integers(-10**6, 10**6).filter(bool),
+                      st.integers(2**64, 2**80), st.integers(-2**80, -2**64))
+    total = SchurSum(zip(shapes, draw(st.lists(coeff, min_size=len(shapes), max_size=len(shapes)))))
+    return _plain(total) if draw(st.booleans()) else total
+
+
+@given(rendered_sum_strategy())
+@example(SchurSum.zero())
+@example(-SchurSum.one())
+@example(_plain(3 * SchurSum.one() - s(2, 2, 1, 1) + 2**70 * s(3, 2, 2, 1, 1, 1) - s(4, 3, 2, 1)))
+@example(-(2**65) * s(5, 4, 3, 2) + s(9) - 7 * s(1, 1, 1, 1, 1, 1))
+def test_renderers_match_reference(total):
+    text = reference_str(total)
+    assert str(total) == text
+    assert repr(total) == f"<SchurSum {text}>"
+    assert total.json_terms() == reference_json_terms(total)
+    terms = total.terms()
+    assert terms == reference_items(total)
+    assert all(type(lam) is Partition for lam, _ in terms)
+
+
 def test_json_terms_order_and_roundtrip():
     a = s(2, 2, 2) + s(6) + 4 * s(4, 2)
     terms = a.json_terms()

@@ -38,10 +38,11 @@ shift but the empty one has positive parts, and a shifted partition is a
 partition, so those keys are canonical as built. Only the unshifted layer,
 read through ``h3_two_row``, has zeros to strip.
 
-The module keeps no cache of its own: h3_two_row and h3 use the cache
-they are given, or a fresh one that is dropped on return, so a loop over n
-that should reuse the layers passes one RecurrenceCache. The cache keeps
-no sums; dent_differences holds its own window of the two previous ones.
+The module keeps no cache of its own: the module-level h3_two_row and h3
+fill a fresh one that is dropped on return, so a loop over n that should
+reuse the layers calls one RecurrenceCache's methods. The cache keeps no
+sums; dent_differences reads its m = 3 differences from its own cache's
+layers.
 """
 
 from .schur import SchurSum, s
@@ -116,45 +117,37 @@ class RecurrenceCache:
         return SchurSum._wrap(terms)
 
 
-def h3_two_row(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
+def h3_two_row(n: int) -> SchurSum:
     """The terms of h3[hn] with at most two rows; zero for negative n."""
-    return (RecurrenceCache() if cache is None else cache).h3_two_row(n)
+    return RecurrenceCache().h3_two_row(n)
 
 
-def h3(n: int, cache: RecurrenceCache | None = None) -> SchurSum:
+def h3(n: int) -> SchurSum:
     """Schur expansion of h3[hn] by the recurrence; zero for negative n.
 
-    Without a cache the layers are filled afresh and dropped on return.
+    The layers are filled afresh and dropped on return.
     """
-    return (RecurrenceCache() if cache is None else cache).h3(n)
+    return RecurrenceCache().h3(n)
 
 
 def dent_differences(m: int, max_n: int):
     """Yield (n, h_m[hn] - s_(2,...,2) odot h_m[h_{n-2}]), with m twos, for
     2 <= n <= max_n; m in {2, 3}.
 
-    Uses the closed form for m = 2 and the recurrence for m = 3. Each
-    h_m[h_k] is built once, in full, and only the previous two are held.
-    For m = 3 the difference equals D(n) = T(n) + s_441 odot T(n-3) term
-    for term whatever the layers hold: s_222 odot h3[h_{n-2}] is the sum of
-    the shifted layers of h3[hn] with d = 2 and d >= 4, so they cancel, and
-    D(n) is positive by construction. Positivity alone therefore certifies
-    nothing for m = 3. cli.cmd_dent also checks each difference's value at
-    m ones against a count of multisets of monomials that shares no code
-    with the layers, which a wrong layer entry fails unless its errors
-    cancel in dimension. Comparing the differences with Thrall's in the
-    CLI is still ROADMAP item 3; test_dent_difference_is_built_from_full_sums
-    does it for n <= 24.
+    For m = 2 each term is the difference of two closed-form sums. For
+    m = 3 it is the recurrence's own term D(n) = T(n) + s_441 odot T(n-3),
+    read from one RecurrenceCache's layers, so it is positive by
+    construction; cli.cmd_dent's check of its value at m ones is the one
+    that a wrong layer entry fails. Comparing D(n) with Thrall's difference
+    in the CLI is still ROADMAP item 3.
     """
     if m == 2:
-        build = h2_closed
+        column = s(2, 2)
+        for n in range(2, max_n + 1):
+            yield n, h2_closed(n) - column.odot(h2_closed(n - 2))
     elif m == 3:
-        build = RecurrenceCache().h3
+        cache, column = RecurrenceCache(), s(4, 4, 1)
+        for n in range(2, max_n + 1):
+            yield n, cache.h3_two_row(n) + column.odot(cache.h3_two_row(n - 3))
     else:
         raise ValueError("m must be 2 or 3")
-    column = s(*(2,) * m)
-    older, old = build(0), build(1)
-    for n in range(2, max_n + 1):
-        new = build(n)
-        yield n, new - column.odot(older)
-        older, old = old, new

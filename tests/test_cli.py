@@ -9,6 +9,7 @@ import pytest
 from plethysm import BudgetExceededError, RecurrenceCache, SchurSum, s
 from plethysm.cli import main
 import plethysm.cli as cli
+import plethysm.recurrence as recurrence
 
 
 def run(capsys, *argv):
@@ -198,18 +199,26 @@ def test_dent_requires_max_n_at_least_2(capsys):
     assert code == 2
 
 
-def test_dent_sweep_builds_each_h3_once(capsys, monkeypatch):
-    built = []
-    h3 = RecurrenceCache.h3
+def test_dent_sweep_fills_each_layer_once(capsys, monkeypatch):
+    # dent --m 3 reads its differences from the layers T(j) and never
+    # assembles a full h3 sum.
+    built, filled = [], []
+    h3, step = RecurrenceCache.h3, recurrence._two_row_step
 
-    def counted(cache, n):
+    def counted_h3(cache, n):
         built.append(n)
         return h3(cache, n)
 
-    monkeypatch.setattr(RecurrenceCache, "h3", counted)
+    def counted_step(previous, j):
+        filled.append(j)
+        return step(previous, j)
+
+    monkeypatch.setattr(RecurrenceCache, "h3", counted_h3)
+    monkeypatch.setattr(recurrence, "_two_row_step", counted_step)
     code, _, _ = run(capsys, "dent", "--m", "3", "--max-n", "30")
     assert code == 0
-    assert sorted(built) == list(range(31))
+    assert built == []
+    assert sorted(filled) == list(range(31))
 
 
 def test_bench_table_and_csv(capsys, tmp_path):

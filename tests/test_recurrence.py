@@ -125,10 +125,11 @@ def test_concurrent_use_is_consistent():
 
 
 def test_dent_difference_is_built_from_full_sums():
-    # The dent check tests a difference of two fully built sums; pin that
-    # difference to the closed formula, which shares no code with the
-    # recurrence's layers, so its positivity is not the recurrence's alone.
-    for n, diff in dent_differences(3, 24):
+    # dent --m 3 reads the recurrence's term T(n) + s_441 odot T(n-3) from
+    # the layers; pin it to the difference of two full sums by the closed
+    # formula, which shares no code with the layers, over every residue
+    # mod 4 well past T(9).
+    for n, diff in dent_differences(3, 60):
         assert diff == h3_thrall(n) - s(2, 2, 2).odot(h3_thrall(n - 2)), n
 
 

@@ -31,12 +31,15 @@ T(j), each of O(j) terms, filled in one ascending pass, and assembles
 h3[hn] by shifting, in time and memory proportional to its size: O(n^2)
 for a cold h3[hn]. h2[hn] is built afresh on every call, in O(n).
 
-A layer keys each term s_(a, b) by the padded pair (a, b), with b = 0
-allowed, so a shift is one tuple expression with no branch: (a + 6, b + 6)
-from T(j - 4) to T(j), and (a + x, b + x, z) from T(j) into h3[hn]. Every
-shift but the empty one has positive parts, and a shifted partition is a
-partition, so those keys are canonical as built. Only the unshifted layer,
-read through ``h3_two_row``, has zeros to strip.
+A layer T(j) is the list of the coefficients of s_(3j - b, b) for
+0 <= b <= 3j//2, indexed by b, zeros included. The shift by (6, 6) from
+T(j - 4) to T(j) is six leading zeros, after which the two lists have the
+same length, 3j//2 + 1, and add elementwise. The shift by (x, x, z) from
+T(j) into h3[hn] builds the keys (3j - b + x, b + x, z) with C-level
+iterators and drops the zeros, so a sum costs O(n) Python-level steps.
+Every shift but the empty one has positive parts, and a shifted partition
+is a partition, so those keys are canonical as built. Only the unshifted
+layer, read through ``h3_two_row``, has a zero to strip, at b = 0.
 
 The module keeps no cache of its own: the module-level h3_two_row and h3
 fill a fresh one that is dropped on return, so a loop over n that should
@@ -44,6 +47,9 @@ reuse the layers calls one RecurrenceCache's methods. The cache keeps no
 sums; dent_differences reads its m = 3 differences from its own cache's
 layers.
 """
+
+from itertools import compress, repeat
+from operator import add
 
 from .schur import SchurSum, s
 
@@ -68,52 +74,61 @@ def h2_rec(n: int) -> SchurSum:
     return SchurSum._wrap(terms)
 
 
-def _two_row_step(previous: dict[tuple[int, int], int], j: int) -> dict[tuple[int, int], int]:
-    # T(j) = s_66 odot T(j-4) + s_(3j) + sum_{k=2}^{j} s_(3j-k, k).
-    terms = {(a + 6, b + 6): c for (a, b), c in previous.items()}
-    for lam in ((3 * j, 0), *((3 * j - k, k) for k in range(2, j + 1))):
-        terms[lam] = terms.get(lam, 0) + 1
+def _two_row_step(previous: list[int], j: int) -> list[int]:
+    # T(j) = s_66 odot T(j-4) + s_(3j) + sum_{k=2}^{j} s_(3j-k, k), indexed
+    # by b as in the module docstring.
+    terms = [0] * 6 + previous if previous else [0] * (3 * j // 2 + 1)
+    terms[0] = 1
+    terms[2:j + 1] = map(add, terms[2:j + 1], repeat(1))
     return terms
 
 
 class RecurrenceCache:
     """Memo table for the h3 recurrence: the layers T(j), filled in one
-    ascending pass and kept. h3[hn] is T(n) plus each lower layer T(n - d)
-    shifted once by mu(d), assembled on every call and not kept; h2[hn]
-    needs no layers. A layer is never mutated once stored, so every call
-    equals a fresh recomputation. Concurrent use is safe without a lock: a
-    thread stores T(j) only after T(j - 1) is there, so the keys stay
-    0..len - 1, building a layer twice is idempotent, and an entry is fully
-    built before it is assigned.
+    ascending pass and kept, each as the list of coefficients of
+    s_(3j-b, b) indexed by b, zeros included. h3[hn] is T(n) plus each
+    lower layer T(n - d) shifted once by mu(d), assembled on every call and
+    not kept; h2[hn] needs no layers. A layer is never mutated once stored,
+    so every call equals a fresh recomputation. Concurrent use is safe
+    without a lock: a thread stores T(j) only after T(j - 1) is there, so
+    the keys stay 0..len - 1, building a layer twice is idempotent, and an
+    entry is fully built before it is assigned.
     """
 
     __slots__ = ("_two_row",)
 
     def __init__(self) -> None:
-        self._two_row: dict[int, dict[tuple[int, int], int]] = {}
+        self._two_row: dict[int, list[int]] = {}
 
-    def _layer(self, n: int) -> dict[tuple[int, int], int]:
-        # The terms of T(n), empty for negative n, after filling every
-        # missing T(j), j <= n, in ascending order.
+    def _layer(self, n: int) -> list[int]:
+        # The coefficients of T(n), empty for negative n, after filling
+        # every missing T(j), j <= n, in ascending order.
         table = self._two_row
         for j in range(len(table), n + 1):
-            table[j] = _two_row_step(table.get(j - 4, {}), j)
-        return table.get(n, {})
+            table[j] = _two_row_step(table.get(j - 4, []), j)
+        return table.get(n, [])
 
     def h2(self, n: int) -> SchurSum:
         return h2_rec(n)
 
     def h3_two_row(self, n: int) -> SchurSum:
-        # The layer's padded keys, with their zeros stripped.
-        return SchurSum._wrap({(lam if lam[1] else lam[:1] if lam[0] else ()): c
-                               for lam, c in self._layer(n).items()})
+        layer = self._layer(n)
+        # s_(3n - b, b) for b >= 1, then s_(3n) with its zero stripped.
+        coeffs = layer[1:]
+        keys = zip(range(3 * n - 1, 0, -1), range(1, len(layer)))
+        terms = dict(zip(compress(keys, coeffs), filter(None, coeffs)))
+        if layer and layer[0]:
+            terms[(3 * n,) if n else ()] = layer[0]
+        return SchurSum._wrap(terms)
 
     def h3(self, n: int) -> SchurSum:
-        terms = dict(self.h3_two_row(n)._terms)  # fills T(0), ..., T(n)
+        terms = self.h3_two_row(n)._terms  # a fresh dict; fills T(0), ..., T(n)
         for j in range(n - 1):
             d = n - j
             x, z = (d, d) if d % 2 == 0 else (d + 1, d - 2)
-            terms.update({(a + x, b + x, z): c for (a, b), c in self._two_row[j].items()})
+            layer = self._two_row[j]
+            keys = zip(range(3 * j + x, 0, -1), range(x, x + len(layer)), repeat(z))
+            terms.update(zip(compress(keys, layer), filter(None, layer)))
         return SchurSum._wrap(terms)
 
 

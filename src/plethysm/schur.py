@@ -21,6 +21,7 @@ The output order, descending lex on the keys, is decided in one place:
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import prod
 from operator import add
 
 from .partition import Partition
@@ -180,7 +181,24 @@ class SchurSum:
         """Exact value after substituting 1 for each of k variables."""
         if k < 1:
             raise ValueError("k must be positive")
-        return sum(c * ssyt_count(lam, k) for lam, c in self._terms.items())
+        # ssyt_count per term, with its index pairs and denominator built
+        # once: (i, j, j - i) over 0 <= i < j < k, and the product of j - i.
+        pairs = [(i, j, j - i) for i in range(k) for j in range(i + 1, k)]
+        den = prod(d for _, _, d in pairs)
+        pad = (0,) * k
+        total = 0
+        for lam, c in self._terms.items():
+            if len(lam) > k:
+                continue
+            parts = (*lam, *pad)
+            num = 1
+            for i, j, d in pairs:
+                num *= parts[i] - parts[j] + d
+            quotient, remainder = divmod(num, den)
+            if remainder:
+                raise AssertionError(f"Weyl product for {lam!r}, k={k} is not integral")
+            total += c * quotient
+        return total
 
     def json_terms(self) -> list[dict]:
         """Terms in the wire format: [{"lambda": [...], "coeff": n}, ...]."""

@@ -321,7 +321,7 @@ def test_dent_wrong_layer_golden(capsys, monkeypatch):
     def wrong_step(previous, j):
         terms = step(previous, j)
         if j == 9:
-            terms[27, 0] += 7
+            terms[0] += 7  # s_(27), the layer's entry at b = 0
         return terms
 
     monkeypatch.setattr(recurrence, "_two_row_step", wrong_step)

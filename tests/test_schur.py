@@ -122,6 +122,14 @@ def test_eval_at_ones_linear(a, b, k):
     assert (a + b).eval_at_ones(k) == a.eval_at_ones(k) + b.eval_at_ones(k)
 
 
+@given(keyed_sum_strategy(), st.integers(1, 6))
+# Shapes with more rows than k count 0; the constant term counts 1.
+@example(s(2, 1, 1) + 3 * s(1, 1, 1, 1) - 2 * SchurSum.one(), 2)
+@example(_plain(s(6, 5, 4, 3, 2, 1) - s(1, 1, 1, 1, 1, 1)), 6)
+def test_eval_at_ones_matches_per_term_ssyt_count(total, k):
+    assert total.eval_at_ones(k) == sum(c * ssyt_count(lam, k) for lam, c in total._terms.items())
+
+
 @given(partition_strategy(max_part=5, max_len=3), st.integers(1, 4))
 def test_ssyt_count_matches_enumeration(lam, k):
     # Weyl product against actual tableau enumeration.

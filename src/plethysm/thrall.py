@@ -7,9 +7,9 @@ classical formula expresses it in closed form; an equivalent recursion
 steps the gap statistic down by six, adding one per step.
 
 ``h3_thrall(n)`` assembles the triples a >= b >= c >= 0 with
-a + b + c = 3n one row a at a time, from slices of closed-form tables and
-C-level iterators: O(n^2) terms, O(n) Python-level steps, no shape
-re-checked.
+a + b + c = 3n one middle part b at a time, each row's coefficients one
+slice of one closed-form table, through C-level iterators: O(n^2) terms,
+O(n) Python-level steps, no shape re-checked.
 """
 
 from itertools import compress, repeat
@@ -84,38 +84,25 @@ def h3_coeff_recursive(lam) -> int:
 def h3_thrall(n: int) -> SchurSum:
     """Schur expansion of h3[hn], assembled from the closed formula.
 
-    Row a holds the triples (a, b, r - b), r = 3n - a, with b running over
-    [ceil(r/2), min(a, r)]. Since a - b <= b - c exactly when b >= n, the
-    gap statistic is 1 + a - b for b >= n and 1 + 2b - r for b < n, so on
-    each side of b = n the row's coefficients are one slice of a table of
-    the closed formula, built once per call. Each row's keys and
-    coefficients then pass through C-level iterators, zeros dropped.
+    Row b holds the triples (3n - b - c, b, c) for 0 <= c <= top, with
+    top = min(b, 3n - 2b). Their gap statistic is top + 1 - c and their
+    parity b % 2, so for c = top down to 1 the coefficients are one slice,
+    gaps 1 to top, of a table of the closed formula built once per call,
+    and the two-row key c = 0 takes the entry after it. Each row's keys
+    and coefficients pass through C-level iterators, zeros dropped.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     w = 3 * n
-    # above[a % 2][a - b] for b >= n; below[r % 4][b - r // 2] for b < n,
-    # where r % 4 fixes the parity of r and, with b - r // 2, that of b.
-    # The rows read a - b <= n and b - r // 2 <= n // 2.
-    above = [[_closed(1 + z, (p + z) % 2) for z in range(n + 1)] for p in (0, 1)]
-    below = [[_closed(1 - q % 2 + 2 * y, (q // 2 + y) % 2) for y in range(n // 2 + 1)] for q in range(4)]
+    table = [[_closed(gap, p) for gap in range(n + 2)] for p in (0, 1)]  # top <= n
+    parts = list(range(w + 1))  # one int object per part, shared by the keys
     terms = {}
-    for r in range(n):  # the rows a = 3n - r > 2n: every b <= r < n
-        half = r // 2
-        coeffs = below[r % 4][r % 2:r + 1 - half]
-        keys = zip(repeat(w - r), range(r - half, r + 1), range(half, -1, -1))
+    for b in range(w // 2 + 1):
+        top = min(b, w - 2 * b)
+        row = table[b % 2]
+        coeffs = row[1:top + 1]  # c = top, ..., 1
+        keys = zip(parts[w - b - top:w - b], repeat(b), parts[top:0:-1])
         terms.update(zip(compress(keys, coeffs), filter(None, coeffs)))
-    for a in range(2 * n, n - 1, -1):  # the rows a <= 2n: ceil(r/2) <= n <= min(a, r)
-        r = w - a
-        half = r // 2
-        hi = min(a, r)
-        coeffs = below[r % 4][r % 2:n - half] + above[a % 2][a - hi:a - n + 1][::-1]
-        keys = zip(repeat(a), range(r - half, hi + 1), range(half, r - hi - 1, -1))
-        terms.update(zip(compress(keys, coeffs), filter(None, coeffs)))
-    # The rows a >= r end at b = r with a padded c = 0; strip the zeros.
-    for a in range(w, (w - 1) // 2, -1):
-        b = w - a
-        coeff = terms.pop((a, b, 0), 0)
-        if coeff:
-            terms[(a, b) if b else (a,) if a else ()] = coeff
+        if row[top + 1]:
+            terms[(w - b, b) if b else (w,) if w else ()] = row[top + 1]
     return SchurSum._wrap(terms)

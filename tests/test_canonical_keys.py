@@ -13,9 +13,9 @@ from plethysm.cli import ORACLE, _METHODS
 
 MAX_N = 30
 ORACLE_MAX_N = 8
-# The benchmark's sizes. There both h3 routes strip padded zeros from keys
-# built in bulk: Thrall's rows a >= 3n/2 end at c = 0, and T(n) starts at
-# b = 0.
+# The benchmark's sizes. There T(n)'s b = 0 key is built in bulk and has
+# its padded zeros stripped; Thrall's route builds its two-row keys one by
+# one.
 LARGE_N = (101, 160)
 
 

@@ -137,6 +137,10 @@ best of 1 repeats, milliseconds
         2,
         "",
     ),
+    # Non-integer text reads as argparse's own int error, whichever
+    # range check the option has.
+    (["expand", "--n", "x"], 2, ""),
+    (["bench", "--budget", "1e3"], 2, ""),
 ]
 
 # stderr of the cases that write to it; every other case writes nothing.
@@ -155,6 +159,20 @@ usage: plethysm expand [-h] [--m {2,3}] --n N
                        [--method {recurrence,thrall,closed,oracle}]
                        [--format {text,json}] [--budget BUDGET]
 plethysm expand: error: argument --m: invalid choice: 4 (choose from 2, 3)
+""",
+    "expand --n x":
+        """\
+usage: plethysm expand [-h] [--m {2,3}] --n N
+                       [--method {recurrence,thrall,closed,oracle}]
+                       [--format {text,json}] [--budget BUDGET]
+plethysm expand: error: argument --n: invalid int value: 'x'
+""",
+    "bench --budget 1e3":
+        """\
+usage: plethysm bench [-h] --max-n MAX_N [--repeats REPEATS]
+                      [--oracle-max-n ORACLE_MAX_N] [--budget BUDGET]
+                      [--csv CSV]
+plethysm bench: error: argument --budget: invalid int value: '1e3'
 """,
 }
 

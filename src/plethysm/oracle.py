@@ -12,18 +12,22 @@ the Kostka matrix, which is unitriangular in descending lex order:
 K(lam, lam) = 1 and K(lam, mu) = 0 unless lam dominates mu. So each
 coefficient is peeled off in that order, subtracting c * K(lam, mu) at
 every later weight mu, with K counted by the horizontal-strip
-(Gelfand-Tsetlin) branching rule. The expansion must then evaluate at
-k ones, by Weyl's dimension formula, to the polynomial's coefficient sum.
+(Gelfand-Tsetlin) branching rule. A strip list depends on the content only
+through its last part and its length, which bounds the rows the strip may
+leave, so every content that shares those two shares it. The expansion
+must then evaluate at k ones, by Weyl's dimension formula, to the
+polynomial's coefficient sum.
 
 Everything here is deliberately independent of the closed formula and the
 recurrence modules, so agreement between the three is meaningful. Nothing
-is kept between calls: the Kostka memo lives for one conversion.
+is kept between calls: the memo of Kostka numbers and strip lists lives for
+one conversion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 from .partition import Partition, partitions_of
@@ -229,39 +233,53 @@ def _kostka(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
     # Number of SSYT of shape lam and content mu, by the branching rule:
     # the cells holding the largest entry len(mu) form a horizontal strip
     # lam/nu of size mu[-1], and the rest is an SSYT of shape nu and
-    # content mu[:-1].
+    # content mu[:-1]. The strips depend on mu only through its last part
+    # and its length, so every content that shares those shares one strip
+    # list, kept in the same memo under a three-part key (lam, size, rows),
+    # which no two-part count key (lam, mu) can equal.
     key = (lam, mu)
     if key in memo:
         return memo[key]
     if mu:
         rest = mu[:-1]
-        count = sum(_kostka(nu, rest, memo) for nu in _strips(lam, mu[-1], rest))
+        count = sum(_kostka(nu, rest, memo) for nu in _strips(lam, mu[-1], len(rest), memo))
     else:
         count = 1  # lam has the weight of mu, so it is empty too
     memo[key] = count
     return count
 
 
-def _strips(lam: tuple[int, ...], size: int, rest: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # Every nu with lam/nu a horizontal strip of `size` cells (so
-    # lam[i+1] <= nu[i] <= lam[i]) that dominates rest, which are exactly
-    # the nu with K(nu, rest) > 0. Rows below i can give up lam[i+1] cells
-    # in all, which bounds the cut from below; keeping each prefix sum of
-    # nu at least that of rest bounds it from above.
-    rows = len(lam)
-    floor = [*accumulate(rest), *[sum(rest)] * rows]
+def _strips(lam: tuple[int, ...], size: int, rows: int, memo: dict) -> list[tuple[int, ...]]:
+    # Every nu with at most `rows` rows and lam/nu a horizontal strip of
+    # `size` cells (so lam[i+1] <= nu[i] <= lam[i]). A lam with more than
+    # rows + 1 rows has none; one with rows + 1 gives up all the cells of
+    # its last row lam[rows], so the cuts above it leave room for those.
+    # Rows below i can give up lam[i+1] cells in all, which bounds each cut
+    # from below. Only lists of two or more strips are memoized: the rest
+    # cost more memory than they save time.
+    key = (lam, size, rows)
+    if key in memo:
+        return memo[key]
+    height = len(lam)
+    if height > rows + 1:
+        return []
+    forced = lam[rows] if height > rows else 0
+    kept = min(height, rows)
     out: list[tuple[int, ...]] = []
 
-    def take(i: int, left: int, kept: int, prefix: tuple[int, ...]) -> None:
-        if i == rows:
-            out.append(prefix if not prefix or prefix[-1] else prefix[:-1])
+    def take(i: int, left: int, prefix: tuple[int, ...]) -> None:
+        if i == kept:
+            if left == forced:
+                out.append(prefix if not prefix or prefix[-1] else prefix[:-1])
             return
         top = lam[i]
-        below = lam[i + 1] if i + 1 < rows else 0
-        for cut in range(max(0, left - below), min(top - below, left, kept + top - floor[i]) + 1):
-            take(i + 1, left - cut, kept + top - cut, prefix + (top - cut,))
+        below = lam[i + 1] if i + 1 < height else 0
+        for cut in range(max(0, left - below), min(top - below, left - forced) + 1):
+            take(i + 1, left - cut, prefix + (top - cut,))
 
-    take(0, size, 0, ())
+    take(0, size, ())
+    if len(out) > 1:
+        memo[key] = out
     return out
 
 
@@ -314,7 +332,8 @@ def monomial_to_schur(poly: MonomialPoly) -> SchurSum:
     coefficient of s_lam; peeling it subtracts c * K(lam, mu) at every
     later mu, including weights absent from the input
     (x1^2 + x2^2 = s_2 - s_11). K comes from the horizontal-strip
-    branching rule, memoized for this call only.
+    branching rule; the counts and the strip lists, shared across
+    contents, are memoized for this call only.
 
     The result must evaluate at k ones (Weyl's formula) to the input's
     coefficient sum; AssertionError otherwise.

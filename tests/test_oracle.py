@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 import tracemalloc
 
@@ -22,7 +22,7 @@ from plethysm import (
     schur_poly,
 )
 from plethysm import oracle
-from plethysm.oracle import _kostka, _ssyt_exponents
+from plethysm.oracle import _kostka, _ssyt_exponents, _strips
 
 
 @st.composite
@@ -197,6 +197,61 @@ def test_kostka_matches_tableau_enumeration():
                 for mu in weights:
                     padded = tuple(mu) + (0,) * (k - len(mu))
                     assert _kostka(lam, mu, memo) == contents.get(padded, 0), (lam, mu, k)
+
+
+def test_kostka_shared_memo_matches_tableau_enumeration():
+    # One memo per degree and number of variables, shared by every pair
+    # (lam, mu) in descending lex order, as monomial_to_schur shares one
+    # across its peel, so counts and strip lists meet in one dict.
+    for k in range(1, 6):
+        for d in range(12):
+            weights = partitions_of(d, k)
+            memo = {}
+            for lam in weights:
+                contents = _ssyt_exponents(lam, k)
+                for mu in weights:
+                    padded = tuple(mu) + (0,) * (k - len(mu))
+                    assert _kostka(lam, mu, memo) == contents.get(padded, 0), (lam, mu, k)
+
+
+def test_strips_match_brute_force():
+    # Every nu with lam[i+1] <= nu[i] <= lam[i], |lam| - |nu| = size and at
+    # most `rows` rows, as one sorted list without repeats.
+    for weight in range(11):
+        for lam in partitions_of(weight, 5):
+            lam = tuple(lam)
+            ranges = [range(below, top + 1) for top, below in zip(lam, lam[1:] + (0,))]
+            shapes = [tuple(part for part in nu if part) for nu in product(*ranges)]
+            for size in range(weight + 1):
+                for rows in range(6):
+                    expected = sorted(nu for nu in shapes if weight - sum(nu) == size and len(nu) <= rows)
+                    assert sorted(_strips(lam, size, rows, {})) == expected, (lam, size, rows)
+
+
+def _bialternant(poly: MonomialPoly) -> SchurSum:
+    # Schur coefficients of a symmetric polynomial f in k variables by
+    # Jacobi's bialternant: a_delta * f = sum_lam c_lam a_(lam + delta), so
+    # c_lam = sum over w in S_k of sgn(w) [x^(lam + delta - w(delta))] f.
+    # That is k! table reads per shape and no Kostka numbers. It stays out
+    # of src/: inside plethysm_oracle it would make the oracle too fast for
+    # criterion 9, which asks the direct routes to beat it 100x at n = 8.
+    k = poly.k
+    delta = tuple(range(k - 1, -1, -1))
+    signed = [(w, (-1) ** sum(w[i] < w[j] for i in range(k) for j in range(i + 1, k)))
+              for w in permutations(delta)]
+    found = {}
+    for degree in set(map(sum, poly.terms)):
+        for lam in partitions_of(degree, k):
+            shifted = [part + d for part, d in zip(tuple(lam) + (0,) * (k - len(lam)), delta)]
+            found[lam] = sum(sign * poly.coeff(tuple(map(int.__sub__, shifted, w))) for w, sign in signed)
+    return SchurSum(found)
+
+
+def test_bialternant_matches_peel_beyond_tableau_reach():
+    assert _bialternant(MonomialPoly(2, {(2, 0): 1, (0, 2): 1})) == s(2) - s(1, 1)
+    for m, n in [(2, 60), (3, 12), (4, 6), (5, 3), (6, 2)]:
+        poly = plethysm_hh_monomial(m, n, m)
+        assert monomial_to_schur(poly) == _bialternant(poly), (m, n)
 
 
 def test_plethysm_oracle_known_values():

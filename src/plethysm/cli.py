@@ -1,7 +1,8 @@
 """Command line interface: expansions, cross-method verification, positivity, benchmarks.
 
 Exit codes: 0 success / all checks pass, 1 verification or positivity
-failure, 2 usage error, 3 oracle budget exceeded.
+failure, 2 usage error, 3 budget exceeded (the oracle's, or expand's on a
+direct route's count of terms).
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def cmd_expand(args) -> int:
     if args.method == ORACLE:
         total = plethysm_oracle(args.m, args.n, budget=args.budget)
     elif args.method in table:
+        # A direct route's output has at most one term per partition of mn
+        # into at most m parts: round((3n + 3)^2 / 12) of them for m = 3
+        # (exact in integers, as (3n + 3)^2 is never 6 mod 12), and for
+        # m = 2 only the n // 2 + 1 with even parts.
+        terms = ((3 * args.n + 3) ** 2 + 6) // 12 if args.m == 3 else args.n // 2 + 1
+        if terms > args.budget:
+            raise BudgetExceededError(terms, args.budget, f"h{args.m}[h{args.n}]", unit="terms")
         total = table[args.method](args.n, RecurrenceCache())
     else:
         valid = ", ".join(sorted([*table, ORACLE]))
@@ -72,7 +80,10 @@ def cmd_expand(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        print(dumps({"m": args.m, "n": args.n, "method": args.method, "terms": total.json_terms()}))
+        # dumps of the header with the terms spliced in, printed in pieces
+        # so that the terms text is not copied.
+        head = dumps({"m": args.m, "n": args.n, "method": args.method})
+        print(head[:-1], ',"terms":', total.json_terms_text(), "}", sep="")
     else:
         print(str(total))
     return EXIT_OK
@@ -322,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*dict.fromkeys(route for routes in _METHODS.values() for route in routes), ORACLE])
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
-                   help="oracle budget on the multiset count and the table's updates")
+                   help="budget on the oracle's multiset count and table updates, "
+                        "and on the direct routes' count of terms")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="cross-check recurrence, closed form, and oracle")

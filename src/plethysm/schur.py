@@ -13,14 +13,19 @@ Keys are canonical plain tuples (weakly decreasing, positive parts); a
 validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
 ``from_json_terms``, and only ``terms()`` and ``support()`` hand it out.
 
-The output order, descending lex on the keys, is decided in one place:
-``terms()``, ``json_terms()`` and ``str()`` all read the list that
-``_sorted_keys`` returns.
+Every output lists the terms in descending lex order on the keys, the
+list that ``_sorted_keys`` returns. ``str()`` and ``json_terms_text()``
+render it with one ``%``: a format string that gives each term a piece
+for its coefficient and one for its row count, such as ``" - 2*"`` and
+``"s[%d,%d]"``, each built once per distinct value, filled in with the
+parts of every key at once. ``terms()`` and ``json_terms()`` hand out the
+same terms as data.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from math import prod
 from operator import add
 
@@ -201,7 +206,11 @@ class SchurSum:
         return total
 
     def json_terms(self) -> list[dict]:
-        """Terms in the wire format: [{"lambda": [...], "coeff": n}, ...]."""
+        """Terms in the wire format, as data: [{"lambda": [...], "coeff": n}, ...].
+
+        ``json_terms_text()`` gives the same list as JSON text, without
+        building the dicts; ``expand --format json`` prints that.
+        """
         terms = self._terms
         return [{"lambda": list(lam), "coeff": terms[lam]} for lam in self._sorted_keys()]
 
@@ -209,29 +218,53 @@ class SchurSum:
     def from_json_terms(cls, items: Iterable[Mapping]) -> "SchurSum":
         return cls((tuple(item["lambda"]), item["coeff"]) for item in items)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
+    def _render(self, as_json: bool) -> str:
+        # The terms in the order of _sorted_keys, by one % over one format
+        # string. Term by term, the string takes a lead and a trail piece,
+        # one of them kept per distinct coefficient and the other per
+        # distinct row count, and % fills in the parts of every key. Each
+        # term starts with its separator, which the first term drops.
         terms = self._terms
         keys = self._sorted_keys()
-        # One %-template per row count; the constant term is its magnitude.
-        bodies = {rows: "s[%s]" % ",".join(("%d",) * rows) for rows in set(map(len, keys))}
-        rendered = []
-        for lam in keys:
-            c = terms[lam]
-            magnitude = abs(c)
-            body = bodies[len(lam)] % lam
-            if not lam:
-                text = str(magnitude)
-            elif magnitude == 1:
-                text = body
-            else:
-                text = f"{magnitude}*{body}"
-            rendered.append(("+ " if c > 0 else "- ") + text)
-        # The first term drops the space after its sign, and a plus sign.
-        first = rendered[0]
-        rendered[0] = first[2:] if first[0] == "+" else "-" + first[2:]
-        return " ".join(rendered)
+        if as_json:
+            # ,{"lambda":[a,b then ],"coeff":c}, and the list closes.
+            tail = "]"
+            lead = {r: ',{"lambda":[' + ",".join(("%d",) * r) for r in set(map(len, keys))}
+            trail = {c: '],"coeff":%d}' % c for c in set(terms.values())}
+            leads, trails = map(len, keys), map(terms.__getitem__, keys)
+        else:
+            # " + " or " - ", then "c*" unless c is 1, then s[a,b]. The
+            # constant term, which sorts last, is its magnitude alone.
+            tail = ""
+            if not keys[-1]:
+                c = terms[keys.pop()]
+                tail = " %s %d" % ("+" if c > 0 else "-", abs(c))
+            lead = {c: (" + " if c > 0 else " - ") + ("%d*" % abs(c) if abs(c) != 1 else "")
+                    for c in set(terms.values())}
+            trail = {r: "s[%s]" % ",".join(("%d",) * r) for r in set(map(len, keys))}
+            leads, trails = map(terms.__getitem__, keys), map(len, keys)
+        # Interleaved by slice assignment, which measured faster than
+        # chaining zipped pairs.
+        pieces = [""] * (2 * len(keys))
+        pieces[0::2] = map(lead.__getitem__, leads)
+        pieces[1::2] = map(trail.__getitem__, trails)
+        pieces.append(tail)
+        # The JSON list opens in place of the first comma; text keeps only
+        # the first term's minus sign.
+        first = pieces[0]
+        if as_json:
+            pieces[0] = "[" + first[1:]
+        else:
+            pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(pieces) % tuple(chain.from_iterable(keys))
+
+    def json_terms_text(self) -> str:
+        """``json_terms()`` as compact JSON text: the bytes of
+        ``json.dumps(self.json_terms(), separators=(",", ":"))``."""
+        return self._render(True) if self._terms else "[]"
+
+    def __str__(self) -> str:
+        return self._render(False) if self._terms else "0"
 
     def __repr__(self) -> str:
         return f"<SchurSum {self}>"

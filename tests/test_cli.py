@@ -79,6 +79,43 @@ def test_expand_budget_exceeded_exits_3(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("m, method, n", [
+    (3, "recurrence", 4), (3, "thrall", 4), (2, "recurrence", 5), (2, "closed", 5),
+])
+def test_expand_direct_routes_refused_before_building(capsys, monkeypatch, m, method, n):
+    # The bound is the count of partitions of mn into at most m parts (even
+    # parts for m = 2): 19 for h3[h4], 3 for h2[h5].
+    bound = {3: 19, 2: 3}[m]
+    args = ["expand", "--m", str(m), "--n", str(n), "--method", method]
+    code, out, _ = run(capsys, *args, "--budget", str(bound))
+    assert code == 0 and out
+    monkeypatch.setattr(cli, "RecurrenceCache", None)  # a route that ran would fail
+    code, out, err = run(capsys, *args, "--budget", str(bound - 1))
+    assert code == 3 and not out
+    assert err == f"budget exceeded: h{m}[h{n}] needs {bound} terms, budget is {bound - 1}\n"
+
+
+def _expand_cases():
+    small = [(m, method, n) for m, routes in cli._METHODS.items()
+             for method in [*routes, cli.ORACLE] for n in range(10)]
+    return small + [(3, "recurrence", 100), (3, "recurrence", 160),
+                    (2, "recurrence", 1000), (2, "recurrence", 1800)]
+
+
+@pytest.mark.parametrize("m, method, n", _expand_cases())
+def test_expand_json_is_dumps_of_json_terms(capsys, m, method, n):
+    # The terms are spliced into the header as text; the bytes must be
+    # those of dumping the whole document.
+    if method == cli.ORACLE:
+        total = cli.plethysm_oracle(m, n)
+    else:
+        total = cli._METHODS[m][method](n, RecurrenceCache())
+    code, out, err = run(capsys, "expand", "--m", str(m), "--n", str(n),
+                         "--method", method, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == cli.dumps({"m": m, "n": n, "method": method, "terms": total.json_terms()}) + "\n"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "10", "--oracle-max-n", "3")
     assert code == 0

@@ -132,6 +132,14 @@ best of 1 repeats, milliseconds
         "",
     ),
     (
+        # h3[h100000] would have about 7.5e9 shapes: the direct routes are
+        # refused on the count of partitions of 3n into at most 3 parts,
+        # before anything is built.
+        ["expand", "--m", "3", "--n", "100000"],
+        3,
+        "",
+    ),
+    (
         # The m that expand serves are the keys of cli._METHODS.
         ["expand", "--m", "4", "--n", "2"],
         2,
@@ -153,6 +161,8 @@ STDERR = {
         "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 3\n",
     "foulkes --m 1 --n 14":
         "budget exceeded: h14[h1] in 14 variables needs 561632386 table updates, budget is 50000000\n",
+    "expand --m 3 --n 100000":
+        "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
     "expand --m 4 --n 2":
         """\
 usage: plethysm expand [-h] [--m {2,3}] --n N

@@ -194,11 +194,16 @@ def rendered_sum_strategy(draw):
 @example(-SchurSum.one())
 @example(_plain(3 * SchurSum.one() - s(2, 2, 1, 1) + 2**70 * s(3, 2, 2, 1, 1, 1) - s(4, 3, 2, 1)))
 @example(-(2**65) * s(5, 4, 3, 2) + s(9) - 7 * s(1, 1, 1, 1, 1, 1))
+# Every term its own coefficient, so each gets its own template piece.
+@example(SchurSum({(7,): -1, (5, 2): 2, (4, 2, 1): -3, (3, 2, 1, 1): 2**70, (2, 2, 1, 1, 1): 5, (): -6}))
 def test_renderers_match_reference(total):
     text = reference_str(total)
     assert str(total) == text
     assert repr(total) == f"<SchurSum {text}>"
     assert total.json_terms() == reference_json_terms(total)
+    json_text = total.json_terms_text()
+    assert json_text == json.dumps(reference_json_terms(total), separators=(",", ":"))
+    assert SchurSum.from_json_terms(json.loads(json_text)) == total
     terms = total.terms()
     assert terms == reference_items(total)
     assert all(type(lam) is Partition for lam, _ in terms)

@@ -8,7 +8,10 @@ direct route's count of terms).
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import marshal
+import os
 import sys
 import time
 
@@ -58,6 +61,22 @@ _METHODS = {
 }
 
 
+def _direct_terms(m: int, n: int) -> int:
+    # A direct route's output has at most one term per partition of mn into
+    # at most m parts: round((3n + 3)^2 / 12) of them for m = 3 (exact in
+    # integers, as (3n + 3)^2 is never 6 mod 12), and for m = 2 only the
+    # n // 2 + 1 with even parts.
+    return ((3 * n + 3) ** 2 + 6) // 12 if m == 3 else n // 2 + 1
+
+
+def _check_terms(m: int, n: int, budget: int | None) -> None:
+    """Refuse h_m[hn] by a direct route, before anything is built, when its
+    bound on the terms is over the budget."""
+    terms = _direct_terms(m, n)
+    if budget is not None and terms > budget:
+        raise BudgetExceededError(terms, budget, f"h{m}[h{n}]", unit="terms")
+
+
 # ---------------------------------------------------------------------------
 # expand
 
@@ -66,13 +85,7 @@ def cmd_expand(args) -> int:
     if args.method == ORACLE:
         total = plethysm_oracle(args.m, args.n, budget=args.budget)
     elif args.method in table:
-        # A direct route's output has at most one term per partition of mn
-        # into at most m parts: round((3n + 3)^2 / 12) of them for m = 3
-        # (exact in integers, as (3n + 3)^2 is never 6 mod 12), and for
-        # m = 2 only the n // 2 + 1 with even parts.
-        terms = ((3 * args.n + 3) ** 2 + 6) // 12 if args.m == 3 else args.n // 2 + 1
-        if terms > args.budget:
-            raise BudgetExceededError(terms, args.budget, f"h{args.m}[h{args.n}]", unit="terms")
+        _check_terms(args.m, args.n, args.budget)
         total = table[args.method](args.n, RecurrenceCache())
     else:
         valid = ", ".join(sorted([*table, ORACLE]))
@@ -129,41 +142,152 @@ def _positivity_failures(n: int, total: SchurSum) -> list[tuple]:
             for lam, c in total.terms() if c < 0 or len(lam) > 3]
 
 
+def _timed(elapsed_ms: dict[str, float], key: str, expand, *args, **kwargs) -> SchurSum:
+    start = _now_ms()
+    total = expand(*args, **kwargs)
+    elapsed_ms[key] = elapsed_ms.get(key, 0.0) + _now_ms() - start
+    return total
+
+
+def _direct_sweep(cache: RecurrenceCache, lo: int, hi: int) -> tuple[dict, list, list]:
+    """Compare each m's direct routes on every n in [lo, hi) and scan the
+    recurrence's h3 for positivity: each route's summed call time in ms,
+    the mismatches and the positivity failures, all by n."""
+    elapsed_ms, mismatches, failures = {}, [], []
+    for n in range(lo, hi):
+        values = {}  # no name in this loop may hold h3(n) while h3(n + 1) is built
+        for m, routes in _METHODS.items():
+            values[m] = {route: _timed(elapsed_ms, f"h{m}_{route}", expand, n, cache)
+                         for route, expand in routes.items()}
+            _record_mismatches(f"h{m} {' vs '.join(routes)}", n, values[m], mismatches)
+        failures.extend(_positivity_failures(n, values[3]["recurrence"]))
+    return elapsed_ms, mismatches, failures
+
+
+# A share of the direct sweep costs about 0.75 us per term of its bound
+# (2 cores, Python 3.11.7), and a fork round trip (fork, pipe, a small
+# result, exit, wait) took 1.7-2.1 ms, the price of about 2,700 terms. A
+# worker's share must be worth about four round trips.
+_MIN_SHARE_TERMS = 10_000
+
+_SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
+
+
+def _shares(max_n: int) -> list[tuple[int, int]]:
+    """Cut [0, max_n] into contiguous ranges [lo, hi) of about equal weight,
+    _direct_terms(3, n) for each n, one for each CPU this process may run
+    on, but only as many as give each at least _MIN_SHARE_TERMS. A single
+    range when fork is missing or another thread runs."""
+    total = sum(_direct_terms(3, n) for n in range(max_n + 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, total // _MIN_SHARE_TERMS)
+    if count < 2 or not hasattr(os, "fork"):
+        return [(0, max_n + 1)]
+    import threading  # only here, so that importing the CLI stays cheap
+
+    if threading.active_count() > 1:  # a forked child would hold copies of their locks
+        return [(0, max_n + 1)]
+    cuts, done = [0], 0
+    for n in range(max_n + 1):
+        done += _direct_terms(3, n)
+        if done * count >= len(cuts) * total:  # once per range; the last cut is max_n + 1
+            cuts.append(n + 1)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _fork_sweep(lo: int, hi: int) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that runs _direct_sweep on [lo, hi) with a fresh cache
+    and writes the marshal bytes of (True, its result) or, when it raises
+    an Exception, of (False, "Type: message") to a pipe; interrupted, it
+    writes nothing. Return its pid and the read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The worker leaves by os._exit on every path, so it runs none of
+        # the caller's exit handlers and flushes none of its buffers.
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, _direct_sweep(RecurrenceCache(), lo, hi))
+            except Exception as exc:
+                result = (False, f"{type(exc).__name__}: {exc}")
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
     """Expand h3 and h2 by every route and compare, in two sweeps.
 
-    The first compares each m's direct routes on [0, max_n] and scans the
-    recurrence's h3 for positivity. It drops every value at n before
-    n + 1, so it holds O(max_n^2) terms, the size of one h3[hn]. The
-    second compares the oracle with the direct routes, for each m on
-    [0, min(oracle_max_n, max_n)], and recomputes those routes untimed
-    from the warm cache: keeping them would hold every h3(n) up to
-    oracle_max_n, O(oracle_max_n^3) terms. ``elapsed_ms["h{m}_{route}"]``
-    sums the times of that route's calls. Its keys and the mismatches
-    follow the sweeps: direct routes by n, then the oracle by m and then
-    n. Positivity failures come by n; within one n, shapes descend.
+    The direct routes are refused before anything is built when the bound
+    on the terms of h3[h max_n], the larger of the two, is over the budget.
+
+    The first sweep (_direct_sweep) compares each m's direct routes on
+    [0, max_n] and scans the recurrence's h3 for positivity. _shares cuts
+    it into contiguous shares of about equal weight, round((3n + 3)^2 / 12)
+    per n, one for each CPU in os.sched_getaffinity(0). The caller runs the
+    lowest share, and each other share runs at the same time in a worker
+    made by os.fork, which sends its result back through a pipe. The caller
+    runs the whole sweep on one CPU (``taskset -c 0``), without os.fork,
+    while another thread runs, or when a worker's share would not pay for
+    its fork. Each process drops every value at n before n + 1, so it holds
+    O(max_n^2) terms, the size of one h3[hn].
+
+    After its share the caller runs the second sweep, which compares the
+    oracle with the direct routes, for each m on [0, min(oracle_max_n,
+    max_n)], and recomputes those routes untimed from the warm cache:
+    keeping them would hold every h3(n) up to oracle_max_n,
+    O(oracle_max_n^3) terms. Then it reads the workers' results in n order.
+    On every path each worker is killed, if still running, and reaped; one
+    whose sweep raised makes the call raise RuntimeError naming its
+    exception type and message.
+
+    ``elapsed_ms["h{m}_{route}"]`` sums the times of that route's calls in
+    every process. Its keys and the mismatches follow the serial order:
+    direct routes by n, then the oracle by m and then n. Positivity
+    failures come by n; within one n, shapes descend.
     """
+    _check_terms(3, max_n, budget)
     ora_hi = min(oracle_max_n, max_n)
     report = VerificationReport(oracle_range=(0, ora_hi))
-
-    def timed(key: str, expand, *args, **kwargs) -> SchurSum:
-        start = _now_ms()
-        total = expand(*args, **kwargs)
-        report.elapsed_ms[key] = report.elapsed_ms.get(key, 0.0) + _now_ms() - start
-        return total
-
-    cache = RecurrenceCache()
-    for n in range(max_n + 1):
-        values = {}  # no name in this loop may hold h3(n) while h3(n + 1) is built
+    (lo, hi), *spare = _shares(max_n)
+    workers = []
+    try:
+        for share in spare:
+            workers.append(_fork_sweep(*share))
+        cache = RecurrenceCache()
+        report.elapsed_ms, report.mismatches, report.positivity_failures = _direct_sweep(cache, lo, hi)
+        oracle_ms, oracle_mismatches = {}, []
         for m, routes in _METHODS.items():
-            values[m] = {route: timed(f"h{m}_{route}", expand, n, cache) for route, expand in routes.items()}
-            _record_mismatches(f"h{m} {' vs '.join(routes)}", n, values[m], report.mismatches)
-        report.positivity_failures.extend(_positivity_failures(n, values[3]["recurrence"]))
-    for m, routes in _METHODS.items():
-        for n in range(ora_hi + 1):
-            by_route = {route: expand(n, cache) for route, expand in routes.items()}
-            by_route[ORACLE] = timed(f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
-            _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, report.mismatches)
+            for n in range(ora_hi + 1):
+                by_route = {route: expand(n, cache) for route, expand in routes.items()}
+                by_route[ORACLE] = _timed(oracle_ms, f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
+                _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, oracle_mismatches)
+        for (pid, pipe), (first, end) in zip(workers, spare):
+            with pipe:
+                data = pipe.read()
+            ok, result = marshal.loads(data) if data else (False, "exited without a result")
+            if not ok:
+                raise RuntimeError(f"verify worker on n in [{first},{end - 1}]: {result}")
+            elapsed_ms, mismatches, failures = result
+            for key, ms in elapsed_ms.items():
+                report.elapsed_ms[key] += ms
+            report.mismatches += mismatches
+            report.positivity_failures += failures
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            # Unreaped, a worker that has exited keeps its pid, so the
+            # kill cannot reach another process.
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    report.elapsed_ms.update(oracle_ms)
+    report.mismatches += oracle_mismatches
     return report
 
 

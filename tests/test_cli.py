@@ -1,7 +1,11 @@
+import functools
 import json
+import os
 from pathlib import Path
+import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -173,21 +177,172 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def test_verify_memory_stays_quadratic():
+def _cpus(monkeypatch, count: int) -> list:
+    """Let run_verify see ``count`` CPUs; return the list its forks append to."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_memory_stays_quadratic(monkeypatch):
     # Keeping every route's value at every n peaks at about 29 MB.
-    report, peak = _traced(lambda: cli.run_verify(80, 4))
-    assert report.passed
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    # tracemalloc sees only the caller: on one CPU it runs the whole sweep,
+    # on two the lowest share, [0, 64], and a worker [65, 80].
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        report, peak = _traced(lambda: cli.run_verify(80, 4))
+        assert report.passed
+        assert len(forks) == cpus - 1
+        assert peak < 8e6, f"{cpus} CPUs: peak {peak / 1e6:.1f} MB"
 
     # The oracle sweep starts after the direct sweep and refuses at n = 1:
     # nothing may be kept from the direct sweep for it, whatever
-    # oracle_max_n is.
-    def refused():
-        with pytest.raises(BudgetExceededError):
-            cli.run_verify(100, 100, budget=1)
+    # oracle_max_n is. The refusal is injected: a budget that refuses the
+    # oracle at n = 1 refuses the direct routes first.
+    oracle = cli.plethysm_oracle
 
-    _, peak = _traced(refused)
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    def refuse_from_1(m, n, budget):
+        if n:
+            raise BudgetExceededError(10, 9, f"h{m}[h{n}] in {m} variables")
+        return oracle(m, n, budget=budget)
+
+    monkeypatch.setattr(cli, "plethysm_oracle", refuse_from_1)
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+
+        def refused():
+            with pytest.raises(BudgetExceededError):
+                cli.run_verify(100, 100)
+
+        _, peak = _traced(refused)
+        assert len(forks) == cpus - 1
+        assert peak < 8e6, f"{cpus} CPUs: peak {peak / 1e6:.1f} MB"
+        _assert_no_child()
+
+
+def test_verify_refuses_direct_routes_before_building(capsys, monkeypatch):
+    # The bound is that of h3[h max_n]: 1951 terms for n = 50.
+    monkeypatch.setattr(cli, "RecurrenceCache", None)  # a route that ran would fail
+    monkeypatch.setattr(cli.os, "fork", None)  # and so would a fork
+    with pytest.raises(BudgetExceededError, match=r"^h3\[h50\] needs 1951 terms, budget is 1950$"):
+        cli.run_verify(50, 4, budget=1950)
+
+
+def test_verify_shares(monkeypatch):
+    weight = functools.partial(cli._direct_terms, 3)
+    _cpus(monkeypatch, 4)
+    shares = cli._shares(100)
+    assert len(shares) == 4
+    assert [lo for lo, _ in shares] == [0, *(hi for _, hi in shares[:-1])]
+    assert shares[-1][1] == 101
+    total = sum(map(weight, range(101)))
+    for lo, hi in shares:
+        share = sum(map(weight, range(lo, hi)))
+        assert share >= cli._MIN_SHARE_TERMS
+        assert abs(share - total / 4) <= weight(hi - 1)
+    # A split is made only when each share is worth its fork.
+    _cpus(monkeypatch, 2)
+    assert cli._shares(50) == [(0, 41), (41, 51)]
+    assert cli._shares(40) == [(0, 41)]
+    assert sum(map(weight, range(41))) < 2 * cli._MIN_SHARE_TERMS
+    _cpus(monkeypatch, 1)
+    assert cli._shares(100) == [(0, 101)]
+
+
+def test_verify_sweeps_serially_without_fork_or_with_threads(monkeypatch):
+    forks = _cpus(monkeypatch, 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert cli._shares(50) == [(0, 51)]
+        assert cli.run_verify(50, 2).passed
+    finally:
+        done.set()
+        thread.join()
+    assert forks == []
+    assert len(cli._shares(50)) == 2
+    monkeypatch.delattr(os, "fork")
+    assert cli._shares(50) == [(0, 51)]
+    assert cli.run_verify(50, 2).passed
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_verify_split_matches_serial(capsys, monkeypatch, cpus):
+    # Faults at the ends of every worker's share and in the caller's: the
+    # mismatch and positivity lines, and their order, are those of the
+    # serial sweep.
+    _cpus(monkeypatch, cpus)
+    shares = cli._shares(60)
+    assert len(shares) == cpus
+    at = {3, *(n for lo, hi in shares[1:] for n in (lo, hi - 1))}
+    thrall, closed, h3 = cli.h3_thrall, cli.h2_closed, RecurrenceCache.h3
+    monkeypatch.setattr(cli, "h3_thrall", lambda n: thrall(n) + s(3 * n) if n in at else thrall(n))
+    monkeypatch.setattr(cli, "h2_closed",
+                        lambda n: closed(n) + s(2 * n - 1, 1) if n in at else closed(n))
+    monkeypatch.setattr(RecurrenceCache, "h3",
+                        lambda cache, n: h3(cache, n) - 2 * s(3 * n) if n in at else h3(cache, n))
+    argv = ["verify", "--max-n", "60", "--oracle-max-n", "4"]
+    outputs = []
+    for count in (cpus, 1):
+        forks = _cpus(monkeypatch, count)
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(forks)) == (1, "", count - 1)
+        outputs.append(re.sub(r" *\d+\.\d+", "<t>", out))
+        _assert_no_child()
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    for n in at:
+        assert f"MISMATCH [h3 recurrence vs thrall] n={n} lambda=[{3 * n}]: recurrence=-1 thrall=2" in lines
+        assert f"MISMATCH [h2 recurrence vs closed] n={n} lambda=[{2 * n - 1}, 1]: recurrence=0 closed=1" in lines
+    positivity = [line for line in lines if line.startswith("POSITIVITY")]
+    assert positivity == [f"POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n={n} lambda=[{3 * n}] coeff=-1"
+                          for n in sorted(at)]
+
+
+def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch):
+    thrall = cli.h3_thrall
+
+    def broken(n):
+        if n == 50:
+            raise ValueError(f"no h3[h{n}] today")
+        return thrall(n)
+
+    monkeypatch.setattr(cli, "h3_thrall", broken)
+    forks = _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^verify worker on n in \[41,50\]: ValueError: no h3\[h50\] today$"):
+        cli.run_verify(50, 4)
+    assert len(forks) == 1
+    _assert_no_child()
+    # Raised in the caller's share, it is raised as it is, and the running
+    # worker is stopped.
+    monkeypatch.setattr(cli, "h3_thrall", lambda n: broken(50) if n == 3 else thrall(n))
+    with pytest.raises(ValueError, match="no h3"):
+        cli.run_verify(50, 4)
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_verify_leaves_no_child(monkeypatch):
+    forks = _cpus(monkeypatch, 2)
+    assert cli.run_verify(50, 4).passed
+    _assert_no_child()
+    # The budget passes the direct routes at n = 50 and refuses the oracle.
+    with pytest.raises(BudgetExceededError, match="in 3 variables"):
+        cli.run_verify(50, 50, budget=cli._direct_terms(3, 50))
+    _assert_no_child()
+    assert len(forks) == 2
 
 
 def test_dent_memory_stays_quadratic(capsys):

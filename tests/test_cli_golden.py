@@ -118,9 +118,23 @@ best of 1 repeats, milliseconds
         "",
     ),
     (
-        # The direct routes agree through n = 3, then the budget refuses
-        # the oracle at n = 1: nothing is printed but the refusal.
+        # h3[h3] has at most 12 terms: the direct routes are refused before
+        # anything is built.
         ["verify", "--max-n", "3", "--oracle-max-n", "3", "--budget", "3"],
+        3,
+        "",
+    ),
+    (
+        # The direct routes pass the bound and agree through n = 3, then
+        # the budget refuses the oracle at n = 1: nothing is printed but
+        # the refusal.
+        ["verify", "--max-n", "3", "--oracle-max-n", "3", "--budget", "12"],
+        3,
+        "",
+    ),
+    (
+        # h3[h100000] as in expand: refused before the sweep starts.
+        ["verify", "--max-n", "100000"],
         3,
         "",
     ),
@@ -158,7 +172,11 @@ STDERR = {
     "expand --m 3 --n 3 --method closed":
         "error: method 'closed' is not valid for m=3 (use one of: oracle, recurrence, thrall)\n",
     "verify --max-n 3 --oracle-max-n 3 --budget 3":
-        "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 3\n",
+        "budget exceeded: h3[h3] needs 12 terms, budget is 3\n",
+    "verify --max-n 3 --oracle-max-n 3 --budget 12":
+        "budget exceeded: h3[h1] in 3 variables needs 57 table updates, budget is 12\n",
+    "verify --max-n 100000":
+        "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
     "foulkes --m 1 --n 14":
         "budget exceeded: h14[h1] in 14 variables needs 561632386 table updates, budget is 50000000\n",
     "expand --m 3 --n 100000":

@@ -1,13 +1,25 @@
 """Command line interface: expansions, cross-method verification, positivity, benchmarks.
 
 Exit codes: 0 success / all checks pass, 1 verification or positivity
-failure, 2 usage error, 3 budget exceeded (the oracle's, or expand's on a
-direct route's count of terms).
+failure, 2 usage error, 3 budget exceeded (the oracle's, or a direct
+route's count of terms in expand, verify and dent).
+
+``main`` runs each command with CPython's cycle collector off, and turns
+it back on afterwards only if it was on. The package builds no reference
+cycles: its sums are dicts of int tuples, and no function refers to
+itself through a closure. So reference counting frees everything a
+command drops, and the collector, which would pass over the fresh tuple
+keys every few hundred allocations, finds nothing. verify's forked
+workers inherit the setting. Library functions never touch ``gc``.
+
+The one object the module keeps between calls is the argparse parser,
+built by the first ``main`` call. It holds no computed value.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import marshal
@@ -330,6 +342,12 @@ def cmd_dent(args) -> int:
         print("error: --max-n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     m, checks = args.m, args.max_n - 1
+    # For m = 2 each sum the sweep holds has at most as many terms as
+    # h2[h max_n]. For m = 3 it keeps every layer T(j), j <= max_n, of
+    # 3j//2 + 1 coefficients: as many as h3[h max_n] has terms, which are
+    # the triples of sum 3 max_n, and those with third part max_n - j are
+    # the two-row partitions of 3j shifted.
+    _check_terms(m, args.max_n, args.budget)
     not_positive = wrong_values = 0
     for n, diff in dent_differences(m, args.max_n):
         if diff.is_schur_positive():
@@ -476,6 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dent", help="check h_m[hn] - s_(2^m) odot h_m[h(n-2)] for positivity")
     p.add_argument("--m", type=int, choices=(2, 3), default=3)
     p.add_argument("--max-n", type=_nonneg, required=True)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
+                   help="budget on the count of terms the sweep holds")
     p.set_defaults(func=cmd_dent)
 
     p = sub.add_parser("bench", help="time the recurrence, closed form, and oracle")
@@ -488,10 +508,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # the package builds no reference cycles; see the module docstring
     try:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if collecting:
+            gc.enable()

@@ -214,6 +214,9 @@ def _ssyt_exponents(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
             content[value - 1] -= 1
 
     fill(0, 0)
+    # fill holds itself through its closure; dropping the name empties that
+    # cell, so no reference cycle is left for the cycle collector.
+    del fill
     return out
 
 
@@ -264,20 +267,19 @@ def _strips(lam: tuple[int, ...], size: int, rows: int, memo: dict) -> list[tupl
     if height > rows + 1:
         return []
     forced = lam[rows] if height > rows else 0
-    kept = min(height, rows)
-    out: list[tuple[int, ...]] = []
-
-    def take(i: int, left: int, prefix: tuple[int, ...]) -> None:
-        if i == kept:
-            if left == forced:
-                out.append(prefix if not prefix or prefix[-1] else prefix[:-1])
-            return
+    # The cuts row by row, as (cells left to give up, rows kept so far),
+    # in a loop rather than by a nested function that calls itself: that
+    # would hold itself through its closure, a reference cycle that only
+    # the cycle collector frees. Extending every partial strip in order
+    # keeps the strips in the order of their cuts.
+    partial = [(size, ())]
+    for i in range(min(height, rows)):
         top = lam[i]
         below = lam[i + 1] if i + 1 < height else 0
-        for cut in range(max(0, left - below), min(top - below, left - forced) + 1):
-            take(i + 1, left - cut, prefix + (top - cut,))
-
-    take(0, size, ())
+        partial = [(left - cut, prefix + (top - cut,)) for left, prefix in partial
+                   for cut in range(max(0, left - below), min(top - below, left - forced) + 1)]
+    out = [prefix if not prefix or prefix[-1] else prefix[:-1]
+           for left, prefix in partial if left == forced]
     if len(out) > 1:
         memo[key] = out
     return out

@@ -70,19 +70,25 @@ def partitions_of(total: int, max_parts: int) -> list[Partition]:
     if max_parts < 1:
         raise ValueError("max_parts must be positive")
     out: list[Partition] = []
-
-    def descend(remaining: int, largest: int, slots: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(Partition._unchecked(prefix))
-            return
-        # The first part must cover its share, so a last slot takes all that
-        # remains and slots never runs out while anything does.
-        smallest = -(-remaining // slots)
-        for first in range(min(remaining, largest), smallest - 1, -1):
-            descend(remaining - first, first, slots - 1, prefix + (first,))
-
-    descend(total, total, max_parts, ())
+    _descend(out, total, total, max_parts, ())
     return out
+
+
+def _descend(out: list[Partition], remaining: int, largest: int, slots: int,
+             prefix: tuple[int, ...]) -> None:
+    # Appends to out every partition that extends prefix by parts of at
+    # most largest, summing to remaining, in at most slots parts. It recurses
+    # at module level: a nested function that called itself would hold
+    # itself through its closure, a reference cycle that only the cycle
+    # collector frees.
+    if remaining == 0:
+        out.append(Partition._unchecked(prefix))
+        return
+    # The first part must cover its share, so a last slot takes all that
+    # remains and slots never runs out while anything does.
+    smallest = -(-remaining // slots)
+    for first in range(min(remaining, largest), smallest - 1, -1):
+        _descend(out, remaining - first, first, slots - 1, prefix + (first,))
 
 
 def min_gap(lam: Partition) -> int:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 from pathlib import Path
@@ -391,6 +392,27 @@ def test_dent_requires_max_n_at_least_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m, n, bound", [(3, 4, 19), (2, 5, 3)])
+def test_dent_refuses_before_building(capsys, monkeypatch, m, n, bound):
+    # m = 3 keeps the layers T(0), ..., T(4), of 1 + 2 + 4 + 5 + 7 = 19
+    # coefficients, as many as h3[h4] has terms; m = 2 holds sums of at
+    # most h2[h5]'s 3 terms.
+    args = ["dent", "--m", str(m), "--max-n", str(n)]
+    code, out, _ = run(capsys, *args, "--budget", str(bound))
+    assert code == 0 and out.startswith("n=2: positive")
+    monkeypatch.setattr(cli, "dent_differences", None)  # a sweep that ran would fail
+    code, out, err = run(capsys, *args, "--budget", str(bound - 1))
+    assert code == 3 and not out
+    assert err == f"budget exceeded: h{m}[h{n}] needs {bound} terms, budget is {bound - 1}\n"
+
+
+def test_dent_bound_is_the_size_of_its_layers():
+    cache = RecurrenceCache()
+    for n in range(60):
+        cache._layer(n)
+        assert cli._direct_terms(3, n) == sum(map(len, cache._two_row.values()))
+
+
 def test_dent_sweep_fills_each_layer_once(capsys, monkeypatch):
     # dent --m 3 reads its differences from the layers T(j) and never
     # assembles a full h3 sum.
@@ -464,3 +486,74 @@ def test_deterministic_output(capsys):
     second = run(capsys, "expand", "--m", "3", "--n", "6", "--method", "recurrence",
                  "--format", "json")
     assert first == second
+
+
+def _outcome(capsys, argv):
+    """main's exit code, stdout with timings masked, and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r"\d+\.\d+ ms", "<t> ms", out), err
+
+
+@pytest.mark.parametrize("argvs", [
+    [["expand", "--m", "3", "--n", "x"], ["expand", "--m", "3", "--n", "4"]],
+    [["dent", "--max-n", "3", "--bogus"], ["dent", "--max-n", "3"]],
+    [["expand", "--m", "2", "--n", "5", "--format", "json"],
+     ["verify", "--max-n", "5", "--oracle-max-n", "2"]],
+    [["verify", "--max-n", "3"], ["expand", "--m", "3", "--n", "3"], ["bench", "--help"]],
+])
+def test_kept_parser_prints_what_a_fresh_one_does(capsys, monkeypatch, argvs):
+    # main builds its parser once and keeps it; a call that follows another,
+    # a usage error included, prints what it prints in a fresh process.
+    expected = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        expected.append(_outcome(capsys, argv))
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [_outcome(capsys, argv) for argv in argvs] == expected
+
+
+# One command for each way main can end. Thrall's route is patched for all
+# of them: it is off by s_(3n) at n = 6, for the mismatch, and raises at
+# n = 50, in the share of the worker verify forks on two CPUs.
+_EXITS = {
+    "0": (["expand", "--m", "3", "--n", "5"], 0),
+    "1": (["verify", "--max-n", "6", "--oracle-max-n", "0"], 1),
+    "2": (["dent", "--m", "3", "--max-n", "1"], 2),
+    "3": (["expand", "--m", "3", "--n", "100000"], 3),
+    "argparse": (["expand", "--n", "x"], SystemExit),
+    "worker": (["verify", "--max-n", "50", "--oracle-max-n", "0"], RuntimeError),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case", list(_EXITS))
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting, case):
+    argv, outcome = _EXITS[case]
+    thrall, seen = cli.h3_thrall, []
+
+    def watched(n):  # notes whether the collector runs while the command does
+        seen.append(gc.isenabled())
+        if n == 50:
+            raise ValueError("no h3[h50] today")
+        return thrall(n) + s(3 * n) if n == 6 else thrall(n)
+
+    monkeypatch.setattr(cli, "h3_thrall", watched)
+    forks = _cpus(monkeypatch, 2)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen) if argv[0] == "verify" else not seen
+    assert len(forks) == (case == "worker")
+    _assert_no_child()

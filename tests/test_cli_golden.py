@@ -154,6 +154,13 @@ best of 1 repeats, milliseconds
         "",
     ),
     (
+        # The layers dent --m 3 would keep hold as many coefficients as
+        # h3[h100000] has terms: refused before the sweep starts.
+        ["dent", "--m", "3", "--max-n", "100000"],
+        3,
+        "",
+    ),
+    (
         # The m that expand serves are the keys of cli._METHODS.
         ["expand", "--m", "4", "--n", "2"],
         2,
@@ -180,6 +187,8 @@ STDERR = {
     "foulkes --m 1 --n 14":
         "budget exceeded: h14[h1] in 14 variables needs 561632386 table updates, budget is 50000000\n",
     "expand --m 3 --n 100000":
+        "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
+    "dent --m 3 --max-n 100000":
         "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
     "expand --m 4 --n 2":
         """\

@@ -1,13 +1,29 @@
 """The package holds nothing between calls: every memo lives in an object
-its caller owns, so what a call builds is freed once its result is."""
+its caller owns, so what a call builds is freed once its result is. The
+one object kept is the CLI's argparse parser, which holds no computed
+value. Nothing the package builds is a reference cycle, so reference
+counting alone frees it, and the CLI runs each command with the cycle
+collector off."""
 
 import gc
 import importlib
 import pkgutil
 import tracemalloc
 
+import pytest
+
 import plethysm
-from plethysm import RecurrenceCache, dent_differences, h3, plethysm_oracle
+import plethysm.cli as cli
+from plethysm import (
+    RecurrenceCache,
+    dent_differences,
+    foulkes_difference,
+    h3,
+    h3_thrall,
+    plethysm_oracle,
+    s,
+    schur_poly,
+)
 
 
 def test_no_module_holds_a_cache():
@@ -34,3 +50,70 @@ def test_calls_without_a_cache_leave_nothing_held():
     finally:
         tracemalloc.stop()
     assert held < 1e6, f"{held / 1e6:.3f} MB still held"
+
+
+def _main(*argv):
+    return lambda: cli.main(list(argv))
+
+
+# Each command on every exit path it has, and the library calls the
+# commands make.
+CALLS = {
+    "expand_recurrence": _main("expand", "--m", "3", "--n", "30"),
+    "expand_thrall_json": _main("expand", "--m", "3", "--n", "30", "--method", "thrall", "--format", "json"),
+    "expand_closed": _main("expand", "--m", "2", "--n", "30", "--method", "closed"),
+    "expand_oracle": _main("expand", "--m", "3", "--n", "6", "--method", "oracle"),
+    "expand_exit_2": _main("expand", "--m", "2", "--n", "3", "--method", "thrall"),
+    "expand_exit_3": _main("expand", "--m", "3", "--n", "100000"),
+    "expand_oracle_exit_3": _main("expand", "--m", "3", "--n", "9", "--method", "oracle", "--budget", "10"),
+    "verify": _main("verify", "--max-n", "60", "--oracle-max-n", "5"),
+    "verify_exit_1": _main("verify", "--max-n", "60", "--oracle-max-n", "3"),
+    "verify_exit_3": _main("verify", "--max-n", "100000"),
+    "verify_oracle_exit_3": _main("verify", "--max-n", "3", "--oracle-max-n", "3", "--budget", "12"),
+    "dent": _main("dent", "--m", "3", "--max-n", "40"),
+    "dent_m2": _main("dent", "--m", "2", "--max-n", "40"),
+    "dent_exit_1": _main("dent", "--m", "3", "--max-n", "2"),
+    "dent_exit_2": _main("dent", "--m", "3", "--max-n", "1"),
+    "dent_exit_3": _main("dent", "--m", "3", "--max-n", "100000"),
+    "foulkes": _main("foulkes", "--m", "3", "--n", "4"),
+    "foulkes_exit_1": _main("foulkes", "--m", "2", "--n", "3"),
+    "foulkes_exit_2": _main("foulkes", "--m", "4", "--n", "3"),
+    "foulkes_exit_3": _main("foulkes", "--m", "4", "--n", "5", "--budget", "1000"),
+    "bench": _main("bench", "--max-n", "12", "--repeats", "2", "--oracle-max-n", "5"),
+    "bench_exit_2": _main("bench", "--max-n", "2", "--csv", "/nonexistent/out.csv"),
+    "h3": lambda: h3(60),
+    "h3_thrall": lambda: h3_thrall(60),
+    "dent_differences": lambda: [list(dent_differences(m, 30)) for m in (2, 3)],
+    "plethysm_oracle": lambda: [plethysm_oracle(m, n) for m, n in ((2, 40), (3, 8), (4, 4))],
+    "foulkes_difference": lambda: foulkes_difference(3, 5),
+    "schur_poly": lambda: schur_poly((3, 2, 1), 4),
+}
+
+# Faults injected where correct code cannot fail: a cli name and its stand-in.
+FAULTS = {
+    "verify_exit_1": ("h3_thrall", lambda n: h3_thrall(n) + s(3 * n)),
+    "dent_exit_1": ("dent_differences", lambda m, max_n: iter([(2, s(6) - s(4, 2))])),
+    "foulkes_exit_1": ("foulkes_difference", lambda m, n, budget: -s(4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_calls_build_no_reference_cycles(capsys, monkeypatch, name):
+    # Everything a call drops must be freed by reference counting: with the
+    # collector off during the call, it finds nothing afterwards. verify
+    # forks its worker (two CPUs) and bench times every route.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    if name in FAULTS:
+        monkeypatch.setattr(cli, *FAULTS[name])
+    cli.main(["dent", "--max-n", "2"])  # builds the kept parser outside the count
+    capsys.readouterr()
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        CALLS[name]()
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found == 0

@@ -12,6 +12,11 @@ command drops, and the collector, which would pass over the fresh tuple
 keys every few hundred allocations, finds nothing. verify's forked
 workers inherit the setting. Library functions never touch ``gc``.
 
+verify runs its oracle sweep in the calling process and may fork one
+worker per further CPU for its direct sweep: each process claims the
+largest n still left from one pipe (see ``run_verify``). No worker
+outlives the call.
+
 The one object the module keeps between calls is the argparse parser,
 built by the first ``main`` call. It holds no computed value.
 """
@@ -176,42 +181,74 @@ def _direct_sweep(cache: RecurrenceCache, lo: int, hi: int) -> tuple[dict, list,
     return elapsed_ms, mismatches, failures
 
 
-# A share of the direct sweep costs about 0.75 us per term of its bound
-# (2 cores, Python 3.11.7), and a fork round trip (fork, pipe, a small
-# result, exit, wait) took 1.7-2.1 ms, the price of about 2,700 terms. A
-# worker's share must be worth about four round trips.
+def _oracle_sweep(cache: RecurrenceCache, hi: int, budget: int | None) -> tuple[dict, list]:
+    """Compare the oracle with each m's direct routes on [0, hi]: the
+    oracle's summed call times in ms and the mismatches, by m and then n.
+    The direct routes run untimed, and nothing is kept past its n."""
+    elapsed_ms, mismatches = {}, []
+    for m, routes in _METHODS.items():
+        for n in range(hi + 1):
+            by_route = {route: expand(n, cache) for route, expand in routes.items()}
+            by_route[ORACLE] = _timed(elapsed_ms, f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
+            _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, mismatches)
+    return elapsed_ms, mismatches
+
+
+# The direct sweep costs about 0.75 us per term of its bound (2 cores,
+# Python 3.11.7), and a fork round trip (fork, pipe, a small result, exit,
+# wait) took 1.7-2.1 ms, the price of about 2,700 terms. Each process's
+# part of the sweep must be worth about four round trips.
 _MIN_SHARE_TERMS = 10_000
 
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
 
+_TOKEN = 4  # bytes of one n on the claim pipe
 
-def _shares(max_n: int) -> list[tuple[int, int]]:
-    """Cut [0, max_n] into contiguous ranges [lo, hi) of about equal weight,
-    _direct_terms(3, n) for each n, one for each CPU this process may run
-    on, but only as many as give each at least _MIN_SHARE_TERMS. A single
-    range when fork is missing or another thread runs."""
+
+def _processes(max_n: int) -> int:
+    """How many processes run the direct sweep on [0, max_n]: one for each
+    CPU this process may run on, but only as many as get _MIN_SHARE_TERMS
+    each of its weight, _direct_terms(3, n) per n. One when fork is missing
+    or another thread runs."""
     total = sum(_direct_terms(3, n) for n in range(max_n + 1))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(cpus, total // _MIN_SHARE_TERMS)
     if count < 2 or not hasattr(os, "fork"):
-        return [(0, max_n + 1)]
+        return 1
     import threading  # only here, so that importing the CLI stays cheap
 
     if threading.active_count() > 1:  # a forked child would hold copies of their locks
-        return [(0, max_n + 1)]
-    cuts, done = [0], 0
-    for n in range(max_n + 1):
-        done += _direct_terms(3, n)
-        if done * count >= len(cuts) * total:  # once per range; the last cut is max_n + 1
-            cuts.append(n + 1)
-    return list(zip(cuts, cuts[1:]))
+        return 1
+    return count
 
 
-def _fork_sweep(lo: int, hi: int) -> tuple[int, io.BufferedReader]:
-    """Fork a worker that runs _direct_sweep on [lo, hi) with a fresh cache
-    and writes the marshal bytes of (True, its result) or, when it raises
-    an Exception, of (False, "Type: message") to a pipe; interrupted, it
-    writes nothing. Return its pid and the read end."""
+def _claims(claim_fd: int):
+    """Yield each n read from the claim pipe until it is empty and every
+    write end is closed. Every write to it is a whole number of tokens of at
+    most PIPE_BUF bytes, so a read of one token is never split."""
+    while token := os.read(claim_fd, _TOKEN):
+        yield int.from_bytes(token, "big")
+
+
+def _sweep_claim(cache: RecurrenceCache, n: int, elapsed_ms: dict, by_n: dict) -> None:
+    times, mismatches, failures = _direct_sweep(cache, n, n + 1)
+    _add_times(elapsed_ms, times)
+    by_n[n] = mismatches, failures
+
+
+def _add_times(elapsed_ms: dict, times: dict) -> None:
+    for key, ms in times.items():
+        elapsed_ms[key] = elapsed_ms.get(key, 0.0) + ms
+
+
+def _fork_claimer(claim_fd: int, token_fd: int) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that closes its copy of the claim pipe's write end
+    ``token_fd``, runs _direct_sweep on each n it claims with a fresh cache,
+    and writes to a pipe of its own the marshal bytes of its route times,
+    its results by n and its failure: None, or the n at which a route raised
+    an Exception and "Type: message". After a failure it claims the rest
+    without running them, so that the caller's writes never wait on a full
+    pipe; interrupted, it writes nothing. Return its pid and the read end."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -220,17 +257,77 @@ def _fork_sweep(lo: int, hi: int) -> tuple[int, io.BufferedReader]:
         status = 1
         try:
             os.close(read_fd)
-            try:
-                result = (True, _direct_sweep(RecurrenceCache(), lo, hi))
-            except Exception as exc:
-                result = (False, f"{type(exc).__name__}: {exc}")
+            os.close(token_fd)
+            cache, elapsed_ms, by_n, failure = RecurrenceCache(), {}, {}, None
+            for n in _claims(claim_fd):
+                if failure is None:
+                    try:
+                        _sweep_claim(cache, n, elapsed_ms, by_n)
+                    except Exception as exc:
+                        failure = n, f"{type(exc).__name__}: {exc}"
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(result))
+                pipe.write(marshal.dumps((elapsed_ms, by_n, failure)))
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
+
+
+def _claimed_sweeps(cache: RecurrenceCache, max_n: int, ora_hi: int, budget: int | None,
+                    processes: int) -> tuple[tuple, tuple]:
+    """The results of _oracle_sweep on [0, ora_hi], run by the caller, and
+    of _direct_sweep on [0, max_n], run by ``processes`` processes that
+    claim n from one pipe, largest first: the workers from the start, the
+    caller after its oracle sweep."""
+    claim_fd, token_fd = os.pipe()
+    workers = []
+    try:
+        for _ in range(processes - 1):
+            workers.append(_fork_claimer(claim_fd, token_fd))
+        tokens = b"".join(n.to_bytes(_TOKEN, "big") for n in range(max_n, -1, -1))
+        step = os.fpathconf(token_fd, "PC_PIPE_BUF") // _TOKEN * _TOKEN
+        for at in range(0, len(tokens), step):
+            os.write(token_fd, tokens[at:at + step])
+        os.close(token_fd)
+        token_fd = None
+        oracle = _oracle_sweep(cache, ora_hi, budget)
+        # Each process's route times are keyed in _direct_sweep's order, so
+        # the merged keys are in the serial order.
+        elapsed_ms, by_n, failed = {}, {}, []
+        for n in _claims(claim_fd):
+            _sweep_claim(cache, n, elapsed_ms, by_n)
+        for pid, pipe in workers:
+            with pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError("verify worker exited without a result")
+            times, results, failure = marshal.loads(data)
+            _add_times(elapsed_ms, times)
+            by_n.update(results)
+            if failure:
+                failed.append(failure)
+        if failed:
+            # Which process claimed n depends on timing. Run again here, a
+            # failing route raises its own exception whoever claimed n.
+            n, message = min(failed)
+            _direct_sweep(cache, n, n + 1)
+            raise RuntimeError(f"verify worker on n={n}: {message}")
+    finally:
+        for fd in (claim_fd, token_fd):
+            if fd is not None:
+                os.close(fd)
+        for pid, pipe in workers:
+            pipe.close()
+            # Unreaped, a worker that has exited keeps its pid, so the
+            # kill cannot reach another process.
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    mismatches, failures = [], []
+    for n in range(max_n + 1):
+        mismatches += by_n[n][0]
+        failures += by_n[n][1]
+    return oracle, (elapsed_ms, mismatches, failures)
 
 
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
@@ -239,25 +336,30 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
     The direct routes are refused before anything is built when the bound
     on the terms of h3[h max_n], the larger of the two, is over the budget.
 
-    The first sweep (_direct_sweep) compares each m's direct routes on
-    [0, max_n] and scans the recurrence's h3 for positivity. _shares cuts
-    it into contiguous shares of about equal weight, round((3n + 3)^2 / 12)
-    per n, one for each CPU in os.sched_getaffinity(0). The caller runs the
-    lowest share, and each other share runs at the same time in a worker
-    made by os.fork, which sends its result back through a pipe. The caller
-    runs the whole sweep on one CPU (``taskset -c 0``), without os.fork,
-    while another thread runs, or when a worker's share would not pay for
-    its fork. Each process drops every value at n before n + 1, so it holds
-    O(max_n^2) terms, the size of one h3[hn].
+    The oracle sweep (_oracle_sweep) runs first, in the caller. It compares
+    the oracle with the direct routes, for each m on [0, min(oracle_max_n,
+    max_n)], and drops each n's values before the next: keeping them would
+    hold every h3(n) up to oracle_max_n, O(oracle_max_n^3) terms. So a
+    refusal of the oracle's budget raises before the caller runs any
+    direct route.
 
-    After its share the caller runs the second sweep, which compares the
-    oracle with the direct routes, for each m on [0, min(oracle_max_n,
-    max_n)], and recomputes those routes untimed from the warm cache:
-    keeping them would hold every h3(n) up to oracle_max_n,
-    O(oracle_max_n^3) terms. Then it reads the workers' results in n order.
-    On every path each worker is killed, if still running, and reaped; one
-    whose sweep raised makes the call raise RuntimeError naming its
-    exception type and message.
+    The direct sweep (_direct_sweep) compares each m's direct routes on
+    [0, max_n] and scans the recurrence's h3 for positivity. It runs in
+    _processes(max_n) processes, one for each CPU in
+    os.sched_getaffinity(0) when each gets enough of its weight,
+    round((3n + 3)^2 / 12) per n. With one, the caller sweeps [0, max_n]
+    after the oracle sweep; so it does on one CPU (``taskset -c 0``),
+    without os.fork, or while another thread runs. Otherwise the caller
+    forks the workers, writes every n to one pipe, largest first, and runs
+    the oracle sweep while they claim n from it, one at a time; then it
+    claims what is left. Each process builds n's values with its own
+    cache and drops them before its next claim, so it holds O(max_n^2)
+    terms, the size of one h3[hn]. The workers send their results back
+    through pipes of their own. On every path each worker is killed, if
+    still running, and reaped. When a worker's route raised at n, the
+    caller runs n again: a route that raises there raises its own
+    exception, and one that does not makes the call raise RuntimeError
+    naming n, the worker's exception type and message.
 
     ``elapsed_ms["h{m}_{route}"]`` sums the times of that route's calls in
     every process. Its keys and the mismatches follow the serial order:
@@ -267,37 +369,14 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
     _check_terms(3, max_n, budget)
     ora_hi = min(oracle_max_n, max_n)
     report = VerificationReport(oracle_range=(0, ora_hi))
-    (lo, hi), *spare = _shares(max_n)
-    workers = []
-    try:
-        for share in spare:
-            workers.append(_fork_sweep(*share))
-        cache = RecurrenceCache()
-        report.elapsed_ms, report.mismatches, report.positivity_failures = _direct_sweep(cache, lo, hi)
-        oracle_ms, oracle_mismatches = {}, []
-        for m, routes in _METHODS.items():
-            for n in range(ora_hi + 1):
-                by_route = {route: expand(n, cache) for route, expand in routes.items()}
-                by_route[ORACLE] = _timed(oracle_ms, f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
-                _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, oracle_mismatches)
-        for (pid, pipe), (first, end) in zip(workers, spare):
-            with pipe:
-                data = pipe.read()
-            ok, result = marshal.loads(data) if data else (False, "exited without a result")
-            if not ok:
-                raise RuntimeError(f"verify worker on n in [{first},{end - 1}]: {result}")
-            elapsed_ms, mismatches, failures = result
-            for key, ms in elapsed_ms.items():
-                report.elapsed_ms[key] += ms
-            report.mismatches += mismatches
-            report.positivity_failures += failures
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            # Unreaped, a worker that has exited keeps its pid, so the
-            # kill cannot reach another process.
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+    cache = RecurrenceCache()
+    processes = _processes(max_n)
+    if processes == 1:
+        oracle, direct = _oracle_sweep(cache, ora_hi, budget), _direct_sweep(cache, 0, max_n + 1)
+    else:
+        oracle, direct = _claimed_sweeps(cache, max_n, ora_hi, budget, processes)
+    report.elapsed_ms, report.mismatches, report.positivity_failures = direct
+    oracle_ms, oracle_mismatches = oracle
     report.elapsed_ms.update(oracle_ms)
     report.mismatches += oracle_mismatches
     return report

@@ -121,14 +121,19 @@ class RecurrenceCache:
             terms[(3 * n,) if n else ()] = layer[0]
         return SchurSum._wrap(terms)
 
+    def _shifted(self, j: int, x: int, z: int):
+        # The (key, coefficient) pairs of the filled layer T(j) shifted by
+        # (x, x, z), zeros dropped; none for negative j.
+        layer = self._two_row.get(j, [])
+        keys = zip(range(3 * j + x, 0, -1), range(x, x + len(layer)), repeat(z))
+        return zip(compress(keys, layer), filter(None, layer))
+
     def h3(self, n: int) -> SchurSum:
         terms = self.h3_two_row(n)._terms  # a fresh dict; fills T(0), ..., T(n)
         for j in range(n - 1):
             d = n - j
             x, z = (d, d) if d % 2 == 0 else (d + 1, d - 2)
-            layer = self._two_row[j]
-            keys = zip(range(3 * j + x, 0, -1), range(x, x + len(layer)), repeat(z))
-            terms.update(zip(compress(keys, layer), filter(None, layer)))
+            terms.update(self._shifted(j, x, z))
         return SchurSum._wrap(terms)
 
 
@@ -151,7 +156,9 @@ def dent_differences(m: int, max_n: int):
 
     For m = 2 each term is the difference of two closed-form sums. For
     m = 3 it is the recurrence's own term D(n) = T(n) + s_441 odot T(n-3),
-    read from one RecurrenceCache's layers, so it is positive by
+    built from one RecurrenceCache's layers: T(n) and T(n-3) shifted by
+    (4, 4, 1), the shift h3 gives T(n-3), into one dict. Their supports
+    are disjoint, as the third parts are 0 and 1. So D(n) is positive by
     construction; cli.cmd_dent's check of its value at m ones is the one
     that a wrong layer entry fails. Comparing D(n) with Thrall's difference
     in the CLI is still ROADMAP item 3.
@@ -161,8 +168,10 @@ def dent_differences(m: int, max_n: int):
         for n in range(2, max_n + 1):
             yield n, h2_closed(n) - column.odot(h2_closed(n - 2))
     elif m == 3:
-        cache, column = RecurrenceCache(), s(4, 4, 1)
+        cache = RecurrenceCache()
         for n in range(2, max_n + 1):
-            yield n, cache.h3_two_row(n) + column.odot(cache.h3_two_row(n - 3))
+            terms = cache.h3_two_row(n)._terms  # a fresh dict; fills T(0), ..., T(n)
+            terms.update(cache._shifted(n - 3, 4, 1))
+            yield n, SchurSum._wrap(terms)
     else:
         raise ValueError("m must be 2 or 3")

@@ -4,9 +4,11 @@ import json
 import os
 from pathlib import Path
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -199,7 +201,7 @@ def _assert_no_child():
 def test_verify_memory_stays_quadratic(monkeypatch):
     # Keeping every route's value at every n peaks at about 29 MB.
     # tracemalloc sees only the caller: on one CPU it runs the whole sweep,
-    # on two the lowest share, [0, 64], and a worker [65, 80].
+    # on two it and a worker claim n from the top down.
     for cpus in (1, 2):
         forks = _cpus(monkeypatch, cpus)
         report, peak = _traced(lambda: cli.run_verify(80, 4))
@@ -207,9 +209,9 @@ def test_verify_memory_stays_quadratic(monkeypatch):
         assert len(forks) == cpus - 1
         assert peak < 8e6, f"{cpus} CPUs: peak {peak / 1e6:.1f} MB"
 
-    # The oracle sweep starts after the direct sweep and refuses at n = 1:
-    # nothing may be kept from the direct sweep for it, whatever
-    # oracle_max_n is. The refusal is injected: a budget that refuses the
+    # The oracle sweep runs first, and refuses at n = 1: nothing may be
+    # kept from it, whatever oracle_max_n is, and on two CPUs the worker
+    # is stopped. The refusal is injected: a budget that refuses the
     # oracle at n = 1 refuses the direct routes first.
     oracle = cli.plethysm_oracle
 
@@ -240,25 +242,35 @@ def test_verify_refuses_direct_routes_before_building(capsys, monkeypatch):
         cli.run_verify(50, 4, budget=1950)
 
 
-def test_verify_shares(monkeypatch):
+def test_verify_oracle_refusal_on_one_cpu_runs_no_direct_route(capsys, monkeypatch):
+    oracle = cli.plethysm_oracle
+
+    def refuse_from_1(m, n, budget):
+        if n:
+            raise BudgetExceededError(10, 9, f"h{m}[h{n}] in {m} variables")
+        return oracle(m, n, budget=budget)
+
+    monkeypatch.setattr(cli, "plethysm_oracle", refuse_from_1)
+    monkeypatch.setattr(cli, "_direct_sweep", None)  # a direct sweep that ran would fail
+    forks = _cpus(monkeypatch, 1)
+    code, out, err = run(capsys, "verify", "--max-n", "100", "--oracle-max-n", "2")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 9\n"
+    assert forks == []
+
+
+def test_verify_process_count(monkeypatch):
+    # One process for each CPU, as long as each gets _MIN_SHARE_TERMS of
+    # the sweep's weight: on [0, 42] two, on [0, 48] three, on [0, 53] four.
     weight = functools.partial(cli._direct_terms, 3)
-    _cpus(monkeypatch, 4)
-    shares = cli._shares(100)
-    assert len(shares) == 4
-    assert [lo for lo, _ in shares] == [0, *(hi for _, hi in shares[:-1])]
-    assert shares[-1][1] == 101
-    total = sum(map(weight, range(101)))
-    for lo, hi in shares:
-        share = sum(map(weight, range(lo, hi)))
-        assert share >= cli._MIN_SHARE_TERMS
-        assert abs(share - total / 4) <= weight(hi - 1)
-    # A split is made only when each share is worth its fork.
-    _cpus(monkeypatch, 2)
-    assert cli._shares(50) == [(0, 41), (41, 51)]
-    assert cli._shares(40) == [(0, 41)]
-    assert sum(map(weight, range(41))) < 2 * cli._MIN_SHARE_TERMS
+    for cpus, first in ((2, 42), (3, 48), (4, 53)):
+        _cpus(monkeypatch, cpus)
+        assert sum(map(weight, range(first))) < cpus * cli._MIN_SHARE_TERMS <= sum(map(weight, range(first + 1)))
+        assert cli._processes(first - 1) == cpus - 1
+        assert cli._processes(first) == cpus
+        assert cli._processes(1000) == cpus
     _cpus(monkeypatch, 1)
-    assert cli._shares(100) == [(0, 101)]
+    assert cli._processes(1000) == 1
 
 
 def test_verify_sweeps_serially_without_fork_or_with_threads(monkeypatch):
@@ -267,83 +279,189 @@ def test_verify_sweeps_serially_without_fork_or_with_threads(monkeypatch):
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert cli._shares(50) == [(0, 51)]
+        assert cli._processes(50) == 1
         assert cli.run_verify(50, 2).passed
     finally:
         done.set()
         thread.join()
     assert forks == []
-    assert len(cli._shares(50)) == 2
+    assert cli._processes(50) == 2
     monkeypatch.delattr(os, "fork")
-    assert cli._shares(50) == [(0, 51)]
+    assert cli._processes(50) == 1
     assert cli.run_verify(50, 2).passed
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_verify_split_matches_serial(capsys, monkeypatch, cpus):
-    # Faults at the ends of every worker's share and in the caller's: the
-    # mismatch and positivity lines, and their order, are those of the
-    # serial sweep.
-    _cpus(monkeypatch, cpus)
-    shares = cli._shares(60)
-    assert len(shares) == cpus
-    at = {3, *(n for lo, hi in shares[1:] for n in (lo, hi - 1))}
+    # Faults at both ends of the sweep, at the oracle's top n, in the middle
+    # and next to the top: whichever process claims each n, the mismatch
+    # and positivity lines, and their order, are those of the serial sweep.
+    at = {0, 1, 4, 30, 59, 60}
     thrall, closed, h3 = cli.h3_thrall, cli.h2_closed, RecurrenceCache.h3
-    monkeypatch.setattr(cli, "h3_thrall", lambda n: thrall(n) + s(3 * n) if n in at else thrall(n))
-    monkeypatch.setattr(cli, "h2_closed",
-                        lambda n: closed(n) + s(2 * n - 1, 1) if n in at else closed(n))
+    monkeypatch.setattr(cli, "h3_thrall", lambda n: thrall(n) + s(3 * n + 2, 1) if n in at else thrall(n))
+    monkeypatch.setattr(cli, "h2_closed", lambda n: closed(n) + s(2 * n + 1, 1) if n in at else closed(n))
     monkeypatch.setattr(RecurrenceCache, "h3",
-                        lambda cache, n: h3(cache, n) - 2 * s(3 * n) if n in at else h3(cache, n))
+                        lambda cache, n: h3(cache, n) - 2 * s(3 * n + 2, 1) if n in at else h3(cache, n))
     argv = ["verify", "--max-n", "60", "--oracle-max-n", "4"]
     outputs = []
-    for count in (cpus, 1):
+    for count in (1, cpus, cpus, cpus):
         forks = _cpus(monkeypatch, count)
         code, out, err = run(capsys, *argv)
         assert (code, err, len(forks)) == (1, "", count - 1)
-        outputs.append(re.sub(r" *\d+\.\d+", "<t>", out))
+        outputs.append(re.sub(r" *\d+\.\d+", "<t>", out).splitlines())
         _assert_no_child()
-    assert outputs[0] == outputs[1]
-    lines = outputs[0].splitlines()
+    serial, *split = outputs
+    for lines in split:
+        assert lines == serial
     for n in at:
-        assert f"MISMATCH [h3 recurrence vs thrall] n={n} lambda=[{3 * n}]: recurrence=-1 thrall=2" in lines
-        assert f"MISMATCH [h2 recurrence vs closed] n={n} lambda=[{2 * n - 1}, 1]: recurrence=0 closed=1" in lines
-    positivity = [line for line in lines if line.startswith("POSITIVITY")]
-    assert positivity == [f"POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n={n} lambda=[{3 * n}] coeff=-1"
+        assert f"MISMATCH [h3 recurrence vs thrall] n={n} lambda=[{3 * n + 2}, 1]: recurrence=-2 thrall=1" in serial
+        assert f"MISMATCH [h2 recurrence vs closed] n={n} lambda=[{2 * n + 1}, 1]: recurrence=0 closed=1" in serial
+    positivity = [line for line in serial if line.startswith("POSITIVITY")]
+    assert positivity == [f"POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n={n} lambda=[{3 * n + 2}, 1] coeff=-2"
                           for n in sorted(at)]
 
 
-def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch):
-    thrall = cli.h3_thrall
+def _hold_oracle_until(monkeypatch, path: Path) -> None:
+    """Make the caller start its oracle sweep only once ``path`` exists, or
+    after 30 s: the workers claim n meanwhile."""
+    sweep = cli._oracle_sweep
+
+    def held(*args):
+        deadline = time.monotonic() + 30
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "_oracle_sweep", held)
+
+
+def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch, tmp_path):
+    # A route that raises at n raises its own exception from run_verify,
+    # whichever process claims n: here a worker claims n = 50, the first
+    # n written, while the caller is held; the caller runs n = 50 again.
+    caller, raised, thrall = os.getpid(), tmp_path / "raised", cli.h3_thrall
 
     def broken(n):
         if n == 50:
+            with raised.open("a") as pids:
+                pids.write(f"{os.getpid()}\n")
             raise ValueError(f"no h3[h{n}] today")
         return thrall(n)
 
     monkeypatch.setattr(cli, "h3_thrall", broken)
     forks = _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"^verify worker on n in \[41,50\]: ValueError: no h3\[h50\] today$"):
-        cli.run_verify(50, 4)
+    with monkeypatch.context() as held:
+        _hold_oracle_until(held, raised)
+        with pytest.raises(ValueError, match=r"^no h3\[h50\] today$"):
+            cli.run_verify(50, 4)
+    worker, *again = map(int, raised.read_text().split())
+    assert worker != caller and again == [caller]
     assert len(forks) == 1
     _assert_no_child()
-    # Raised in the caller's share, it is raised as it is, and the running
-    # worker is stopped.
-    monkeypatch.setattr(cli, "h3_thrall", lambda n: broken(50) if n == 3 else thrall(n))
-    with pytest.raises(ValueError, match="no h3"):
+    # Here the caller claims n = 49 while the worker is stopped on n = 50.
+    def stuck(n):
+        if n == 50 and os.getpid() != caller:
+            time.sleep(60)  # until the caller kills it
+        if n == 49:
+            raise ValueError(f"no h3[h{n}] today")
+        return thrall(n)
+
+    monkeypatch.setattr(cli, "h3_thrall", stuck)
+    with pytest.raises(ValueError, match=r"^no h3\[h49\] today$"):
         cli.run_verify(50, 4)
     assert len(forks) == 2
     _assert_no_child()
 
 
-def test_verify_leaves_no_child(monkeypatch):
+def test_verify_failure_only_in_a_worker_names_its_n(monkeypatch, tmp_path):
+    caller, raised, thrall = os.getpid(), tmp_path / "raised", cli.h3_thrall
+
+    def broken(n):
+        if n == 50 and os.getpid() != caller:
+            raised.touch()
+            raise ValueError(f"no h3[h{n}] today")
+        return thrall(n)
+
+    monkeypatch.setattr(cli, "h3_thrall", broken)
+    _hold_oracle_until(monkeypatch, raised)
     forks = _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^verify worker on n=50: ValueError: no h3\[h50\] today$"):
+        cli.run_verify(50, 4)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def _open_fds() -> int | None:
+    """How many file descriptors this process has open; None where
+    /proc/self/fd is missing."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def test_verify_leaves_no_child(monkeypatch):
+    # No child and no file descriptor outlives a pass, a refusal or an error.
+    forks, fds = _cpus(monkeypatch, 2), _open_fds()
     assert cli.run_verify(50, 4).passed
     _assert_no_child()
+    assert _open_fds() == fds
     # The budget passes the direct routes at n = 50 and refuses the oracle.
     with pytest.raises(BudgetExceededError, match="in 3 variables"):
         cli.run_verify(50, 50, budget=cli._direct_terms(3, 50))
     _assert_no_child()
-    assert len(forks) == 2
+    assert _open_fds() == fds
+    thrall = cli.h3_thrall
+    monkeypatch.setattr(cli, "h3_thrall", lambda n: 1 / 0 if n == 45 else thrall(n))
+    with pytest.raises(ZeroDivisionError):
+        cli.run_verify(50, 4)
+    _assert_no_child()
+    assert _open_fds() == fds
+    assert len(forks) == 3
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["pass", "worker-fails"])
+def test_verify_claims_more_n_than_a_full_pipe_holds(monkeypatch, fails):
+    # 2001 tokens are 8004 bytes, and each pipe holds one page: the caller
+    # can write them all only while the worker claims them, and a worker
+    # whose route raised still claims the rest. An alarm ends a deadlock.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("no F_SETPIPE_SZ")
+    pipe, caller = os.pipe, os.getpid()
+
+    def one_page_pipe():
+        fds = pipe()
+        fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)
+        return fds
+
+    def stub(cache, lo, hi):
+        if fails and os.getpid() != caller:
+            raise ValueError("worker only")
+        return {"h3_recurrence": 1.0}, [("stub", n, [n], {}) for n in range(lo, hi)], []
+
+    def deadlocked(signum, frame):
+        raise TimeoutError("run_verify deadlocked")
+
+    monkeypatch.setattr(cli.os, "pipe", one_page_pipe)
+    monkeypatch.setattr(cli, "_direct_sweep", stub)
+    forks, fds = _cpus(monkeypatch, 2), _open_fds()
+    alarm = signal.signal(signal.SIGALRM, deadlocked)
+    signal.alarm(60)
+    try:
+        if fails:
+            with pytest.raises(RuntimeError, match=r"^verify worker on n=\d+: ValueError: worker only$"):
+                cli.run_verify(2000, 0, budget=None)
+        else:
+            report = cli.run_verify(2000, 0, budget=None)
+            assert [n for _, n, _, _ in report.mismatches] == list(range(2001))
+            assert report.elapsed_ms["h3_recurrence"] == 2001.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert len(forks) == 1
+    _assert_no_child()
+    assert _open_fds() == fds
 
 
 def test_dent_memory_stays_quadratic(capsys):
@@ -518,14 +636,14 @@ def test_kept_parser_prints_what_a_fresh_one_does(capsys, monkeypatch, argvs):
 
 # One command for each way main can end. Thrall's route is patched for all
 # of them: it is off by s_(3n) at n = 6, for the mismatch, and raises at
-# n = 50, in the share of the worker verify forks on two CPUs.
+# n = 50, whichever of verify's two processes claims it on two CPUs.
 _EXITS = {
     "0": (["expand", "--m", "3", "--n", "5"], 0),
     "1": (["verify", "--max-n", "6", "--oracle-max-n", "0"], 1),
     "2": (["dent", "--m", "3", "--max-n", "1"], 2),
     "3": (["expand", "--m", "3", "--n", "100000"], 3),
     "argparse": (["expand", "--n", "x"], SystemExit),
-    "worker": (["verify", "--max-n", "50", "--oracle-max-n", "0"], RuntimeError),
+    "worker": (["verify", "--max-n", "50", "--oracle-max-n", "0"], ValueError),
 }
 
 

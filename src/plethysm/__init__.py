@@ -15,7 +15,7 @@ h_n[h_m] - h_m[h_n] and for h_m[hn] - s_(2^m) odot h_m[h(n-2)], and a CLI
 """
 
 from .partition import Partition, min_gap, partitions_of
-from .schur import SchurSum, s, ssyt_count
+from .schur import SchurSum, s
 from .thrall import coeff_from_gap, h3_coeff_closed, h3_coeff_recursive, h3_thrall
 from .recurrence import (
     RecurrenceCache,
@@ -45,7 +45,6 @@ __all__ = [
     "min_gap",
     "SchurSum",
     "s",
-    "ssyt_count",
     "coeff_from_gap",
     "h3_coeff_closed",
     "h3_coeff_recursive",

@@ -12,10 +12,10 @@ command drops, and the collector, which would pass over the fresh tuple
 keys every few hundred allocations, finds nothing. verify's forked
 workers inherit the setting. Library functions never touch ``gc``.
 
-verify runs its oracle sweep in the calling process and may fork one
-worker per further CPU for its direct sweep: each process claims the
-largest n still left from one pipe (see ``run_verify``). No worker
-outlives the call.
+verify runs its oracle sweep in the calling process. Its direct sweep
+claims n largest first: the caller alone, from a range, or the caller and
+one forked worker per further CPU, from one pipe (see ``run_verify``). No
+worker outlives the call.
 
 The one object the module keeps between calls is the argparse parser,
 built by the first ``main`` call. It holds no computed value.
@@ -166,19 +166,19 @@ def _timed(elapsed_ms: dict[str, float], key: str, expand, *args, **kwargs) -> S
     return total
 
 
-def _direct_sweep(cache: RecurrenceCache, lo: int, hi: int) -> tuple[dict, list, list]:
-    """Compare each m's direct routes on every n in [lo, hi) and scan the
-    recurrence's h3 for positivity: each route's summed call time in ms,
-    the mismatches and the positivity failures, all by n."""
-    elapsed_ms, mismatches, failures = {}, [], []
-    for n in range(lo, hi):
-        values = {}  # no name in this loop may hold h3(n) while h3(n + 1) is built
+def _direct_sweep(cache: RecurrenceCache, ns, elapsed_ms: dict[str, float], mismatches: list,
+                  failures: list) -> None:
+    """Compare each m's direct routes on each n of ``ns``, in its order, and
+    scan the recurrence's h3 for positivity: add each route's call time in
+    ms to ``elapsed_ms``, and append the mismatches and the positivity
+    failures to their lists."""
+    for n in ns:
+        values = {}  # no name in this loop may hold one n's h3 while the next one is built
         for m, routes in _METHODS.items():
             values[m] = {route: _timed(elapsed_ms, f"h{m}_{route}", expand, n, cache)
                          for route, expand in routes.items()}
             _record_mismatches(f"h{m} {' vs '.join(routes)}", n, values[m], mismatches)
         failures.extend(_positivity_failures(n, values[3]["recurrence"]))
-    return elapsed_ms, mismatches, failures
 
 
 def _oracle_sweep(cache: RecurrenceCache, hi: int, budget: int | None) -> tuple[dict, list]:
@@ -230,25 +230,15 @@ def _claims(claim_fd: int):
         yield int.from_bytes(token, "big")
 
 
-def _sweep_claim(cache: RecurrenceCache, n: int, elapsed_ms: dict, by_n: dict) -> None:
-    times, mismatches, failures = _direct_sweep(cache, n, n + 1)
-    _add_times(elapsed_ms, times)
-    by_n[n] = mismatches, failures
-
-
-def _add_times(elapsed_ms: dict, times: dict) -> None:
-    for key, ms in times.items():
-        elapsed_ms[key] = elapsed_ms.get(key, 0.0) + ms
-
-
 def _fork_claimer(claim_fd: int, token_fd: int) -> tuple[int, io.BufferedReader]:
     """Fork a worker that closes its copy of the claim pipe's write end
     ``token_fd``, runs _direct_sweep on each n it claims with a fresh cache,
     and writes to a pipe of its own the marshal bytes of its route times,
-    its results by n and its failure: None, or the n at which a route raised
-    an Exception and "Type: message". After a failure it claims the rest
-    without running them, so that the caller's writes never wait on a full
-    pipe; interrupted, it writes nothing. Return its pid and the read end."""
+    its mismatches, its positivity failures and its failure: None, or the n
+    at which a route raised an Exception and "Type: message". After a
+    failure it claims the rest without running them, so that the caller's
+    writes never wait on a full pipe; interrupted, it writes nothing.
+    Return its pid and the read end."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -258,76 +248,20 @@ def _fork_claimer(claim_fd: int, token_fd: int) -> tuple[int, io.BufferedReader]
         try:
             os.close(read_fd)
             os.close(token_fd)
-            cache, elapsed_ms, by_n, failure = RecurrenceCache(), {}, {}, None
+            cache, elapsed_ms, mismatches, failures, failure = RecurrenceCache(), {}, [], [], None
             for n in _claims(claim_fd):
                 if failure is None:
                     try:
-                        _sweep_claim(cache, n, elapsed_ms, by_n)
+                        _direct_sweep(cache, (n,), elapsed_ms, mismatches, failures)
                     except Exception as exc:
                         failure = n, f"{type(exc).__name__}: {exc}"
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps((elapsed_ms, by_n, failure)))
+                pipe.write(marshal.dumps((elapsed_ms, mismatches, failures, failure)))
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
-
-
-def _claimed_sweeps(cache: RecurrenceCache, max_n: int, ora_hi: int, budget: int | None,
-                    processes: int) -> tuple[tuple, tuple]:
-    """The results of _oracle_sweep on [0, ora_hi], run by the caller, and
-    of _direct_sweep on [0, max_n], run by ``processes`` processes that
-    claim n from one pipe, largest first: the workers from the start, the
-    caller after its oracle sweep."""
-    claim_fd, token_fd = os.pipe()
-    workers = []
-    try:
-        for _ in range(processes - 1):
-            workers.append(_fork_claimer(claim_fd, token_fd))
-        tokens = b"".join(n.to_bytes(_TOKEN, "big") for n in range(max_n, -1, -1))
-        step = os.fpathconf(token_fd, "PC_PIPE_BUF") // _TOKEN * _TOKEN
-        for at in range(0, len(tokens), step):
-            os.write(token_fd, tokens[at:at + step])
-        os.close(token_fd)
-        token_fd = None
-        oracle = _oracle_sweep(cache, ora_hi, budget)
-        # Each process's route times are keyed in _direct_sweep's order, so
-        # the merged keys are in the serial order.
-        elapsed_ms, by_n, failed = {}, {}, []
-        for n in _claims(claim_fd):
-            _sweep_claim(cache, n, elapsed_ms, by_n)
-        for pid, pipe in workers:
-            with pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError("verify worker exited without a result")
-            times, results, failure = marshal.loads(data)
-            _add_times(elapsed_ms, times)
-            by_n.update(results)
-            if failure:
-                failed.append(failure)
-        if failed:
-            # Which process claimed n depends on timing. Run again here, a
-            # failing route raises its own exception whoever claimed n.
-            n, message = min(failed)
-            _direct_sweep(cache, n, n + 1)
-            raise RuntimeError(f"verify worker on n={n}: {message}")
-    finally:
-        for fd in (claim_fd, token_fd):
-            if fd is not None:
-                os.close(fd)
-        for pid, pipe in workers:
-            pipe.close()
-            # Unreaped, a worker that has exited keeps its pid, so the
-            # kill cannot reach another process.
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-    mismatches, failures = [], []
-    for n in range(max_n + 1):
-        mismatches += by_n[n][0]
-        failures += by_n[n][1]
-    return oracle, (elapsed_ms, mismatches, failures)
 
 
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
@@ -344,20 +278,20 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
     direct route.
 
     The direct sweep (_direct_sweep) compares each m's direct routes on
-    [0, max_n] and scans the recurrence's h3 for positivity. It runs in
-    _processes(max_n) processes, one for each CPU in
-    os.sched_getaffinity(0) when each gets enough of its weight,
-    round((3n + 3)^2 / 12) per n. With one, the caller sweeps [0, max_n]
-    after the oracle sweep; so it does on one CPU (``taskset -c 0``),
-    without os.fork, or while another thread runs. Otherwise the caller
-    forks the workers, writes every n to one pipe, largest first, and runs
-    the oracle sweep while they claim n from it, one at a time; then it
-    claims what is left. Each process builds n's values with its own
-    cache and drops them before its next claim, so it holds O(max_n^2)
-    terms, the size of one h3[hn]. The workers send their results back
-    through pipes of their own. On every path each worker is killed, if
-    still running, and reaped. When a worker's route raised at n, the
-    caller runs n again: a route that raises there raises its own
+    [0, max_n] and scans the recurrence's h3 for positivity. Its n are
+    claimed one at a time, largest first, by _processes(max_n) processes:
+    one for each CPU in os.sched_getaffinity(0) when each gets enough of
+    its weight, round((3n + 3)^2 / 12) per n. With one, the caller claims
+    every n itself after the oracle sweep; so it does on one CPU
+    (``taskset -c 0``), without os.fork, or while another thread runs.
+    Otherwise the caller forks the workers, writes every n to one pipe,
+    largest first, and runs the oracle sweep while they claim n from it;
+    then it claims what is left. Each process builds n's values with its
+    own cache and drops them before its next claim, so it holds
+    O(max_n^2) terms, the size of one h3[hn]. The workers send their
+    results back through pipes of their own. On every path each worker is
+    killed, if still running, and reaped. When a worker's route raised at
+    n, the caller runs n again: a route that raises there raises its own
     exception, and one that does not makes the call raise RuntimeError
     naming n, the worker's exception type and message.
 
@@ -370,13 +304,58 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
     ora_hi = min(oracle_max_n, max_n)
     report = VerificationReport(oracle_range=(0, ora_hi))
     cache = RecurrenceCache()
-    processes = _processes(max_n)
-    if processes == 1:
-        oracle, direct = _oracle_sweep(cache, ora_hi, budget), _direct_sweep(cache, 0, max_n + 1)
-    else:
-        oracle, direct = _claimed_sweeps(cache, max_n, ora_hi, budget, processes)
-    report.elapsed_ms, report.mismatches, report.positivity_failures = direct
-    oracle_ms, oracle_mismatches = oracle
+    claims, workers = range(max_n, -1, -1), []
+    claim_fd = token_fd = None
+    try:
+        processes = _processes(max_n)
+        if processes > 1:
+            claim_fd, token_fd = os.pipe()
+            for _ in range(processes - 1):
+                workers.append(_fork_claimer(claim_fd, token_fd))
+            tokens = b"".join(n.to_bytes(_TOKEN, "big") for n in claims)
+            step = os.fpathconf(token_fd, "PC_PIPE_BUF") // _TOKEN * _TOKEN
+            for at in range(0, len(tokens), step):
+                os.write(token_fd, tokens[at:at + step])
+            os.close(token_fd)
+            token_fd = None
+            claims = _claims(claim_fd)
+        oracle_ms, oracle_mismatches = _oracle_sweep(cache, ora_hi, budget)
+        _direct_sweep(cache, claims, report.elapsed_ms, report.mismatches, report.positivity_failures)
+        failed = []
+        for pid, pipe in workers:
+            with pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError("verify worker exited without a result")
+            elapsed_ms, mismatches, failures, failure = marshal.loads(data)
+            # Each process's route times are keyed in _direct_sweep's order,
+            # so the merged keys are in the serial order.
+            for key, ms in elapsed_ms.items():
+                report.elapsed_ms[key] = report.elapsed_ms.get(key, 0.0) + ms
+            report.mismatches += mismatches
+            report.positivity_failures += failures
+            if failure:
+                failed.append(failure)
+        if failed:
+            # Which process claimed n depends on timing. Run again here, a
+            # failing route raises its own exception whoever claimed n.
+            n, message = min(failed)
+            _direct_sweep(cache, (n,), {}, [], [])
+            raise RuntimeError(f"verify worker on n={n}: {message}")
+    finally:
+        for fd in (claim_fd, token_fd):
+            if fd is not None:
+                os.close(fd)
+        for pid, pipe in workers:
+            pipe.close()
+            # Unreaped, a worker that has exited keeps its pid, so the
+            # kill cannot reach another process.
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    # One process ran each n, and appended its rows in the serial order. So
+    # a stable sort by n, index 1 of each row, puts them all in that order.
+    report.mismatches.sort(key=lambda row: row[1])
+    report.positivity_failures.sort(key=lambda row: row[1])
     report.elapsed_ms.update(oracle_ms)
     report.mismatches += oracle_mismatches
     return report
@@ -520,24 +499,18 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _int_from(least: int):
+    """The argparse type of an int option that must be at least ``least``,
+    0 or 1."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError("must be positive" if least else "must be nonnegative")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,39 +522,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print the Schur expansion of h_m[h_n]")
     p.add_argument("--m", type=int, choices=sorted(_METHODS), default=3)
-    p.add_argument("--n", type=_nonneg, required=True)
+    p.add_argument("--n", type=_int_from(0), required=True)
     p.add_argument("--method", default="recurrence",
                    choices=[*dict.fromkeys(route for routes in _METHODS.values() for route in routes), ORACLE])
     p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int_from(1), default=DEFAULT_BUDGET,
                    help="budget on the oracle's multiset count and table updates, "
                         "and on the direct routes' count of terms")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="cross-check recurrence, closed form, and oracle")
-    p.add_argument("--max-n", type=_nonneg, default=40)
-    p.add_argument("--oracle-max-n", type=_nonneg, default=8)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--max-n", type=_int_from(0), default=40)
+    p.add_argument("--oracle-max-n", type=_int_from(0), default=8)
+    p.add_argument("--budget", type=_int_from(1), default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("foulkes", help="check h_n[h_m] - h_m[h_n] for Schur positivity")
-    p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--m", type=_int_from(1), required=True)
+    p.add_argument("--n", type=_int_from(1), required=True)
+    p.add_argument("--budget", type=_int_from(1), default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_foulkes)
 
     p = sub.add_parser("dent", help="check h_m[hn] - s_(2^m) odot h_m[h(n-2)] for positivity")
     p.add_argument("--m", type=int, choices=(2, 3), default=3)
-    p.add_argument("--max-n", type=_nonneg, required=True)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
+    p.add_argument("--max-n", type=_int_from(0), required=True)
+    p.add_argument("--budget", type=_int_from(1), default=DEFAULT_BUDGET,
                    help="budget on the count of terms the sweep holds")
     p.set_defaults(func=cmd_dent)
 
     p = sub.add_parser("bench", help="time the recurrence, closed form, and oracle")
-    p.add_argument("--max-n", type=_positive, required=True)
-    p.add_argument("--repeats", type=_positive, default=3)
-    p.add_argument("--oracle-max-n", type=_nonneg, default=8)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--max-n", type=_int_from(1), required=True)
+    p.add_argument("--repeats", type=_int_from(1), default=3)
+    p.add_argument("--oracle-max-n", type=_int_from(0), default=8)
+    p.add_argument("--budget", type=_int_from(1), default=DEFAULT_BUDGET)
     p.add_argument("--csv", default=None, help="also write n,method,millis rows to this file")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -32,28 +32,6 @@ from operator import add
 from .partition import Partition
 
 
-def ssyt_count(lam: tuple[int, ...], k: int) -> int:
-    """Number of semistandard tableaux of shape ``lam`` with entries <= k.
-
-    Equals the Schur polynomial s_lam evaluated at k ones. Computed by the
-    Weyl product formula, prod_{i<j} (lam_i - lam_j + j - i) / (j - i)
-    over 1 <= i < j <= k, which is exact in integer arithmetic.
-    """
-    if len(lam) > k:
-        return 0
-    parts = (*lam, *(0,) * (k - len(lam)))
-    num = 1
-    den = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            num *= parts[i] - parts[j] + j - i
-            den *= j - i
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        raise AssertionError(f"Weyl product for {lam!r}, k={k} is not integral")
-    return quotient
-
-
 class SchurSum:
     """Integer linear combination of Schur functions, stored sparsely.
 
@@ -183,11 +161,18 @@ class SchurSum:
         return max(map(len, self._terms), default=0)
 
     def eval_at_ones(self, k: int) -> int:
-        """Exact value after substituting 1 for each of k variables."""
+        """Exact value after substituting 1 for each of k variables.
+
+        s_lam at k ones is the number of semistandard tableaux of shape lam
+        with entries <= k: 0 when lam has more than k rows, and otherwise
+        Weyl's product prod_{i<j} (lam_i - lam_j + j - i) / (j - i) over
+        1 <= i < j <= k, which is exact in integer arithmetic.
+        """
         if k < 1:
             raise ValueError("k must be positive")
-        # ssyt_count per term, with its index pairs and denominator built
-        # once: (i, j, j - i) over 0 <= i < j < k, and the product of j - i.
+        # Weyl's product per term, with its index pairs and denominator
+        # built once: (i, j, j - i) over 0 <= i < j < k, and the product of
+        # j - i.
         pairs = [(i, j, j - i) for i in range(k) for j in range(i + 1, k)]
         den = prod(d for _, _, d in pairs)
         pad = (0,) * k

@@ -4,7 +4,6 @@ import json
 import os
 from pathlib import Path
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -180,30 +179,18 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def _cpus(monkeypatch, count: int) -> list:
-    """Let run_verify see ``count`` CPUs; return the list its forks append to."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(cli.os, "fork", counted_fork)
-    return forks
-
-
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_verify_memory_stays_quadratic(monkeypatch):
+def test_verify_memory_stays_quadratic(monkeypatch, verify_cpus):
     # Keeping every route's value at every n peaks at about 29 MB.
-    # tracemalloc sees only the caller: on one CPU it runs the whole sweep,
-    # on two it and a worker claim n from the top down.
+    # tracemalloc sees only the caller. On one CPU it claims every n
+    # itself, from the top down; on two it and a worker claim n from one
+    # pipe, also from the top down.
     for cpus in (1, 2):
-        forks = _cpus(monkeypatch, cpus)
+        forks = verify_cpus(cpus)
         report, peak = _traced(lambda: cli.run_verify(80, 4))
         assert report.passed
         assert len(forks) == cpus - 1
@@ -222,7 +209,7 @@ def test_verify_memory_stays_quadratic(monkeypatch):
 
     monkeypatch.setattr(cli, "plethysm_oracle", refuse_from_1)
     for cpus in (1, 2):
-        forks = _cpus(monkeypatch, cpus)
+        forks = verify_cpus(cpus)
 
         def refused():
             with pytest.raises(BudgetExceededError):
@@ -242,7 +229,7 @@ def test_verify_refuses_direct_routes_before_building(capsys, monkeypatch):
         cli.run_verify(50, 4, budget=1950)
 
 
-def test_verify_oracle_refusal_on_one_cpu_runs_no_direct_route(capsys, monkeypatch):
+def test_verify_oracle_refusal_on_one_cpu_runs_no_direct_route(capsys, monkeypatch, verify_cpus):
     oracle = cli.plethysm_oracle
 
     def refuse_from_1(m, n, budget):
@@ -252,29 +239,29 @@ def test_verify_oracle_refusal_on_one_cpu_runs_no_direct_route(capsys, monkeypat
 
     monkeypatch.setattr(cli, "plethysm_oracle", refuse_from_1)
     monkeypatch.setattr(cli, "_direct_sweep", None)  # a direct sweep that ran would fail
-    forks = _cpus(monkeypatch, 1)
+    forks = verify_cpus(1)
     code, out, err = run(capsys, "verify", "--max-n", "100", "--oracle-max-n", "2")
     assert (code, out) == (3, "")
     assert err == "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 9\n"
     assert forks == []
 
 
-def test_verify_process_count(monkeypatch):
+def test_verify_process_count(verify_cpus):
     # One process for each CPU, as long as each gets _MIN_SHARE_TERMS of
     # the sweep's weight: on [0, 42] two, on [0, 48] three, on [0, 53] four.
     weight = functools.partial(cli._direct_terms, 3)
     for cpus, first in ((2, 42), (3, 48), (4, 53)):
-        _cpus(monkeypatch, cpus)
+        verify_cpus(cpus)
         assert sum(map(weight, range(first))) < cpus * cli._MIN_SHARE_TERMS <= sum(map(weight, range(first + 1)))
         assert cli._processes(first - 1) == cpus - 1
         assert cli._processes(first) == cpus
         assert cli._processes(1000) == cpus
-    _cpus(monkeypatch, 1)
+    verify_cpus(1)
     assert cli._processes(1000) == 1
 
 
-def test_verify_sweeps_serially_without_fork_or_with_threads(monkeypatch):
-    forks = _cpus(monkeypatch, 2)
+def test_verify_sweeps_serially_without_fork_or_with_threads(monkeypatch, verify_cpus):
+    forks = verify_cpus(2)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
@@ -292,7 +279,7 @@ def test_verify_sweeps_serially_without_fork_or_with_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_verify_split_matches_serial(capsys, monkeypatch, cpus):
+def test_verify_split_matches_serial(capsys, monkeypatch, cpus, verify_cpus):
     # Faults at both ends of the sweep, at the oracle's top n, in the middle
     # and next to the top: whichever process claims each n, the mismatch
     # and positivity lines, and their order, are those of the serial sweep.
@@ -305,7 +292,7 @@ def test_verify_split_matches_serial(capsys, monkeypatch, cpus):
     argv = ["verify", "--max-n", "60", "--oracle-max-n", "4"]
     outputs = []
     for count in (1, cpus, cpus, cpus):
-        forks = _cpus(monkeypatch, count)
+        forks = verify_cpus(count)
         code, out, err = run(capsys, *argv)
         assert (code, err, len(forks)) == (1, "", count - 1)
         outputs.append(re.sub(r" *\d+\.\d+", "<t>", out).splitlines())
@@ -335,7 +322,7 @@ def _hold_oracle_until(monkeypatch, path: Path) -> None:
     monkeypatch.setattr(cli, "_oracle_sweep", held)
 
 
-def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch, tmp_path):
+def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch, tmp_path, verify_cpus):
     # A route that raises at n raises its own exception from run_verify,
     # whichever process claims n: here a worker claims n = 50, the first
     # n written, while the caller is held; the caller runs n = 50 again.
@@ -349,7 +336,7 @@ def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch, tmp_
         return thrall(n)
 
     monkeypatch.setattr(cli, "h3_thrall", broken)
-    forks = _cpus(monkeypatch, 2)
+    forks = verify_cpus(2)
     with monkeypatch.context() as held:
         _hold_oracle_until(held, raised)
         with pytest.raises(ValueError, match=r"^no h3\[h50\] today$"):
@@ -373,7 +360,7 @@ def test_verify_route_raising_in_a_worker_raises_in_the_caller(monkeypatch, tmp_
     _assert_no_child()
 
 
-def test_verify_failure_only_in_a_worker_names_its_n(monkeypatch, tmp_path):
+def test_verify_failure_only_in_a_worker_names_its_n(monkeypatch, tmp_path, verify_cpus):
     caller, raised, thrall = os.getpid(), tmp_path / "raised", cli.h3_thrall
 
     def broken(n):
@@ -384,7 +371,7 @@ def test_verify_failure_only_in_a_worker_names_its_n(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "h3_thrall", broken)
     _hold_oracle_until(monkeypatch, raised)
-    forks = _cpus(monkeypatch, 2)
+    forks = verify_cpus(2)
     with pytest.raises(RuntimeError, match=r"^verify worker on n=50: ValueError: no h3\[h50\] today$"):
         cli.run_verify(50, 4)
     assert len(forks) == 1
@@ -400,9 +387,9 @@ def _open_fds() -> int | None:
         return None
 
 
-def test_verify_leaves_no_child(monkeypatch):
+def test_verify_leaves_no_child(monkeypatch, verify_cpus):
     # No child and no file descriptor outlives a pass, a refusal or an error.
-    forks, fds = _cpus(monkeypatch, 2), _open_fds()
+    forks, fds = verify_cpus(2), _open_fds()
     assert cli.run_verify(50, 4).passed
     _assert_no_child()
     assert _open_fds() == fds
@@ -421,10 +408,11 @@ def test_verify_leaves_no_child(monkeypatch):
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["pass", "worker-fails"])
-def test_verify_claims_more_n_than_a_full_pipe_holds(monkeypatch, fails):
+def test_verify_claims_more_n_than_a_full_pipe_holds(monkeypatch, fails, verify_cpus):
     # 2001 tokens are 8004 bytes, and each pipe holds one page: the caller
     # can write them all only while the worker claims them, and a worker
-    # whose route raised still claims the rest. An alarm ends a deadlock.
+    # whose route raised still claims the rest. The deadline of
+    # verify_cpus ends a deadlock.
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("no F_SETPIPE_SZ")
@@ -435,30 +423,23 @@ def test_verify_claims_more_n_than_a_full_pipe_holds(monkeypatch, fails):
         fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)
         return fds
 
-    def stub(cache, lo, hi):
-        if fails and os.getpid() != caller:
-            raise ValueError("worker only")
-        return {"h3_recurrence": 1.0}, [("stub", n, [n], {}) for n in range(lo, hi)], []
-
-    def deadlocked(signum, frame):
-        raise TimeoutError("run_verify deadlocked")
+    def stub(cache, ns, elapsed_ms, mismatches, failures):
+        for n in ns:
+            if fails and os.getpid() != caller:
+                raise ValueError("worker only")
+            elapsed_ms["h3_recurrence"] = elapsed_ms.get("h3_recurrence", 0.0) + 1.0
+            mismatches.append(("stub", n, [n], {}))
 
     monkeypatch.setattr(cli.os, "pipe", one_page_pipe)
     monkeypatch.setattr(cli, "_direct_sweep", stub)
-    forks, fds = _cpus(monkeypatch, 2), _open_fds()
-    alarm = signal.signal(signal.SIGALRM, deadlocked)
-    signal.alarm(60)
-    try:
-        if fails:
-            with pytest.raises(RuntimeError, match=r"^verify worker on n=\d+: ValueError: worker only$"):
-                cli.run_verify(2000, 0, budget=None)
-        else:
-            report = cli.run_verify(2000, 0, budget=None)
-            assert [n for _, n, _, _ in report.mismatches] == list(range(2001))
-            assert report.elapsed_ms["h3_recurrence"] == 2001.0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, alarm)
+    forks, fds = verify_cpus(2), _open_fds()
+    if fails:
+        with pytest.raises(RuntimeError, match=r"^verify worker on n=\d+: ValueError: worker only$"):
+            cli.run_verify(2000, 0, budget=None)
+    else:
+        report = cli.run_verify(2000, 0, budget=None)
+        assert [n for _, n, _, _ in report.mismatches] == list(range(2001))
+        assert report.elapsed_ms["h3_recurrence"] == 2001.0
     assert len(forks) == 1
     _assert_no_child()
     assert _open_fds() == fds
@@ -649,7 +630,7 @@ _EXITS = {
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("case", list(_EXITS))
-def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting, case):
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting, case, verify_cpus):
     argv, outcome = _EXITS[case]
     thrall, seen = cli.h3_thrall, []
 
@@ -660,7 +641,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collectin
         return thrall(n) + s(3 * n) if n == 6 else thrall(n)
 
     monkeypatch.setattr(cli, "h3_thrall", watched)
-    forks = _cpus(monkeypatch, 2)
+    forks = verify_cpus(2)
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:

@@ -170,6 +170,9 @@ best of 1 repeats, milliseconds
     # range check the option has.
     (["expand", "--n", "x"], 2, ""),
     (["bench", "--budget", "1e3"], 2, ""),
+    # An int below an option's range: each range has its own message.
+    (["verify", "--max-n", "-1"], 2, ""),
+    (["bench", "--repeats", "0"], 2, ""),
 ]
 
 # stderr of the cases that write to it; every other case writes nothing.
@@ -210,6 +213,19 @@ usage: plethysm bench [-h] --max-n MAX_N [--repeats REPEATS]
                       [--oracle-max-n ORACLE_MAX_N] [--budget BUDGET]
                       [--csv CSV]
 plethysm bench: error: argument --budget: invalid int value: '1e3'
+""",
+    "verify --max-n -1":
+        """\
+usage: plethysm verify [-h] [--max-n MAX_N] [--oracle-max-n ORACLE_MAX_N]
+                       [--budget BUDGET]
+plethysm verify: error: argument --max-n: must be nonnegative
+""",
+    "bench --repeats 0":
+        """\
+usage: plethysm bench [-h] --max-n MAX_N [--repeats REPEATS]
+                      [--oracle-max-n ORACLE_MAX_N] [--budget BUDGET]
+                      [--csv CSV]
+plethysm bench: error: argument --repeats: must be positive
 """,
 }
 

@@ -98,11 +98,11 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("name", list(CALLS))
-def test_calls_build_no_reference_cycles(capsys, monkeypatch, name):
+def test_calls_build_no_reference_cycles(capsys, monkeypatch, verify_cpus, name):
     # Everything a call drops must be freed by reference counting: with the
     # collector off during the call, it finds nothing afterwards. verify
     # forks its worker (two CPUs) and bench times every route.
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    verify_cpus(2)
     if name in FAULTS:
         monkeypatch.setattr(cli, *FAULTS[name])
     cli.main(["dent", "--max-n", "2"])  # builds the kept parser outside the count

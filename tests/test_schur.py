@@ -3,7 +3,7 @@ import json
 from hypothesis import example, given, strategies as st
 import pytest
 
-from plethysm import Partition, SchurSum, s, ssyt_count
+from plethysm import Partition, SchurSum, s
 from plethysm.oracle import schur_poly
 
 
@@ -122,21 +122,34 @@ def test_eval_at_ones_linear(a, b, k):
     assert (a + b).eval_at_ones(k) == a.eval_at_ones(k) + b.eval_at_ones(k)
 
 
+def hook_content(lam, k):
+    # s_lam at k ones by the hook-content formula: the product of k + j - i
+    # over the cells (i, j) of lam, over the product of their hook lengths.
+    # A shape of more than k rows has the cell (k, 0), of factor 0.
+    columns = [sum(part > j for part in lam) for j in range(lam[0] if lam else 0)]
+    num = den = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            num *= k + j - i
+            den *= part - j + columns[j] - i - 1
+    quotient, remainder = divmod(num, den)
+    assert not remainder
+    return quotient
+
+
 @given(keyed_sum_strategy(), st.integers(1, 6))
 # Shapes with more rows than k count 0; the constant term counts 1.
 @example(s(2, 1, 1) + 3 * s(1, 1, 1, 1) - 2 * SchurSum.one(), 2)
 @example(_plain(s(6, 5, 4, 3, 2, 1) - s(1, 1, 1, 1, 1, 1)), 6)
-def test_eval_at_ones_matches_per_term_ssyt_count(total, k):
-    assert total.eval_at_ones(k) == sum(c * ssyt_count(lam, k) for lam, c in total._terms.items())
+def test_eval_at_ones_matches_hook_content(total, k):
+    assert total.eval_at_ones(k) == sum(c * hook_content(lam, k) for lam, c in total._terms.items())
 
 
 @given(partition_strategy(max_part=5, max_len=3), st.integers(1, 4))
-def test_ssyt_count_matches_enumeration(lam, k):
-    # Weyl product against actual tableau enumeration.
-    if len(lam) > k:
-        assert ssyt_count(lam, k) == 0
-    else:
-        assert ssyt_count(lam, k) == schur_poly(lam, k).total()
+def test_eval_at_ones_matches_enumeration(lam, k):
+    # Weyl's product against actual tableau enumeration.
+    expected = schur_poly(lam, k).total() if len(lam) <= k else 0
+    assert s(*lam).eval_at_ones(k) == expected
 
 
 def test_text_rendering():

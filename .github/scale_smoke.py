@@ -6,8 +6,9 @@ Each quoted ARGS is one ``plethysm`` command line, run in turn through
 ``plethysm.cli.main`` with its stdout discarded. Exits 0 when every command
 exits 0 and the larger of two peaks stays below MAX_MB megabytes, 1
 otherwise: the peak RSS of this process and that of the largest child it
-has reaped, such as a worker ``verify`` forks for a share of its sweep.
-``ru_maxrss`` covers a whole process, so give each case its own process.
+has reaped. No command forks today; the children's peak keeps a command
+that starts one from passing on the caller's peak alone. ``ru_maxrss``
+covers a whole process, so give each case its own process.
 """
 
 import contextlib

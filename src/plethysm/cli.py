@@ -9,13 +9,12 @@ it back on afterwards only if it was on. The package builds no reference
 cycles: its sums are dicts of int tuples, and no function refers to
 itself through a closure. So reference counting frees everything a
 command drops, and the collector, which would pass over the fresh tuple
-keys every few hundred allocations, finds nothing. verify's forked
-workers inherit the setting. Library functions never touch ``gc``.
+keys every few hundred allocations, finds nothing. Library functions
+never touch ``gc``.
 
-verify runs its oracle sweep in the calling process. Its direct sweep
-claims n largest first: the caller alone, from a range, or the caller and
-one forked worker per further CPU, from one pipe (see ``run_verify``). No
-worker outlives the call.
+verify runs in the calling process and forks nothing: its oracle sweep,
+then its direct sweep, which compares the two h3 routes column by column
+(see ``run_verify``).
 
 The one object the module keeps between calls is the argparse parser,
 built by the first ``main`` call. It holds no computed value.
@@ -25,13 +24,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
-import marshal
-import os
 import sys
 import time
 
+from . import thrall
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -75,6 +72,14 @@ _METHODS = {
         "recurrence": lambda n, cache: cache.h2(n),
         "closed": lambda n, cache: h2_closed(n),
     },
+}
+
+# The h3 routes of _METHODS as verify's direct sweep reads them: the n + 1
+# columns of h3[hn] (SchurSum._from_columns), looked up through the
+# attributes that their SchurSum routes call too.
+_H3_COLUMNS = {
+    "recurrence": lambda n, cache: cache.h3_columns(n),
+    "thrall": lambda n, cache: thrall.h3_columns(n),
 }
 
 
@@ -151,34 +156,38 @@ def _record_mismatches(label: str, n: int, values: dict[str, SchurSum], sink: li
 
 
 def _positivity_failures(n: int, total: SchurSum) -> list[tuple]:
-    """The terms of h3[hn] that are negative or have more than three rows,
-    in descending order. Only a failing sum is sorted into terms."""
-    if total.is_schur_positive() and total.max_rows() <= 3:
-        return []
-    return [("h3 nonnegative, at most 3 rows", n, list(lam), c)
-            for lam, c in total.terms() if c < 0 or len(lam) > 3]
+    """The terms of h3[hn] that are negative, in descending order. The sum
+    has at most three rows, as its columns do."""
+    return [("h3 nonnegative, at most 3 rows", n, list(lam), c) for lam, c in total.terms() if c < 0]
 
 
-def _timed(elapsed_ms: dict[str, float], key: str, expand, *args, **kwargs) -> SchurSum:
+def _timed(elapsed_ms: dict[str, float], key: str, expand, *args, **kwargs):
     start = _now_ms()
     total = expand(*args, **kwargs)
     elapsed_ms[key] = elapsed_ms.get(key, 0.0) + _now_ms() - start
     return total
 
 
-def _direct_sweep(cache: RecurrenceCache, ns, elapsed_ms: dict[str, float], mismatches: list,
-                  failures: list) -> None:
-    """Compare each m's direct routes on each n of ``ns``, in its order, and
-    scan the recurrence's h3 for positivity: add each route's call time in
-    ms to ``elapsed_ms``, and append the mismatches and the positivity
-    failures to their lists."""
-    for n in ns:
-        values = {}  # no name in this loop may hold one n's h3 while the next one is built
-        for m, routes in _METHODS.items():
-            values[m] = {route: _timed(elapsed_ms, f"h{m}_{route}", expand, n, cache)
-                         for route, expand in routes.items()}
-            _record_mismatches(f"h{m} {' vs '.join(routes)}", n, values[m], mismatches)
-        failures.extend(_positivity_failures(n, values[3]["recurrence"]))
+def _direct_sweep(cache: RecurrenceCache, max_n: int, report: VerificationReport) -> None:
+    """Compare each m's direct routes on each n in [0, max_n], ascending,
+    and scan the recurrence's h3 for negative coefficients: add each
+    route's call time in ms to the report, and append its mismatches and
+    positivity failures. The h3 routes are compared as their columns, and
+    a sum is built from columns only to list a mismatch or a failure."""
+    elapsed_ms = report.elapsed_ms
+    for n in range(max_n + 1):
+        columns = {route: _timed(elapsed_ms, f"h3_{route}", build, n, cache)
+                   for route, build in _H3_COLUMNS.items()}
+        first, *rest = columns.values()
+        if any(cols != first for cols in rest):
+            sums = {route: SchurSum._from_columns(n, cols) for route, cols in columns.items()}
+            _record_mismatches(f"h3 {' vs '.join(sums)}", n, sums, report.mismatches)
+        h2 = {route: _timed(elapsed_ms, f"h2_{route}", expand, n, cache)
+              for route, expand in _METHODS[2].items()}
+        _record_mismatches(f"h2 {' vs '.join(h2)}", n, h2, report.mismatches)
+        if min(map(min, columns["recurrence"])) < 0:
+            report.positivity_failures += _positivity_failures(
+                n, SchurSum._from_columns(n, columns["recurrence"]))
 
 
 def _oracle_sweep(cache: RecurrenceCache, hi: int, budget: int | None) -> tuple[dict, list]:
@@ -194,168 +203,41 @@ def _oracle_sweep(cache: RecurrenceCache, hi: int, budget: int | None) -> tuple[
     return elapsed_ms, mismatches
 
 
-# The direct sweep costs about 0.75 us per term of its bound (2 cores,
-# Python 3.11.7), and a fork round trip (fork, pipe, a small result, exit,
-# wait) took 1.7-2.1 ms, the price of about 2,700 terms. Each process's
-# part of the sweep must be worth about four round trips.
-_MIN_SHARE_TERMS = 10_000
-
-_SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
-
-_TOKEN = 4  # bytes of one n on the claim pipe
-
-
-def _processes(max_n: int) -> int:
-    """How many processes run the direct sweep on [0, max_n]: one for each
-    CPU this process may run on, but only as many as get _MIN_SHARE_TERMS
-    each of its weight, _direct_terms(3, n) per n. One when fork is missing
-    or another thread runs."""
-    total = sum(_direct_terms(3, n) for n in range(max_n + 1))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = min(cpus, total // _MIN_SHARE_TERMS)
-    if count < 2 or not hasattr(os, "fork"):
-        return 1
-    import threading  # only here, so that importing the CLI stays cheap
-
-    if threading.active_count() > 1:  # a forked child would hold copies of their locks
-        return 1
-    return count
-
-
-def _claims(claim_fd: int):
-    """Yield each n read from the claim pipe until it is empty and every
-    write end is closed. Every write to it is a whole number of tokens of at
-    most PIPE_BUF bytes, so a read of one token is never split."""
-    while token := os.read(claim_fd, _TOKEN):
-        yield int.from_bytes(token, "big")
-
-
-def _fork_claimer(claim_fd: int, token_fd: int) -> tuple[int, io.BufferedReader]:
-    """Fork a worker that closes its copy of the claim pipe's write end
-    ``token_fd``, runs _direct_sweep on each n it claims with a fresh cache,
-    and writes to a pipe of its own the marshal bytes of its route times,
-    its mismatches, its positivity failures and its failure: None, or the n
-    at which a route raised an Exception and "Type: message". After a
-    failure it claims the rest without running them, so that the caller's
-    writes never wait on a full pipe; interrupted, it writes nothing.
-    Return its pid and the read end."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # The worker leaves by os._exit on every path, so it runs none of
-        # the caller's exit handlers and flushes none of its buffers.
-        status = 1
-        try:
-            os.close(read_fd)
-            os.close(token_fd)
-            cache, elapsed_ms, mismatches, failures, failure = RecurrenceCache(), {}, [], [], None
-            for n in _claims(claim_fd):
-                if failure is None:
-                    try:
-                        _direct_sweep(cache, (n,), elapsed_ms, mismatches, failures)
-                    except Exception as exc:
-                        failure = n, f"{type(exc).__name__}: {exc}"
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps((elapsed_ms, mismatches, failures, failure)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
-    """Expand h3 and h2 by every route and compare, in two sweeps.
+    """Expand h3 and h2 by every route and compare, in two sweeps, both in
+    the calling process.
 
     The direct routes are refused before anything is built when the bound
     on the terms of h3[h max_n], the larger of the two, is over the budget.
 
-    The oracle sweep (_oracle_sweep) runs first, in the caller. It compares
-    the oracle with the direct routes, for each m on [0, min(oracle_max_n,
+    The oracle sweep (_oracle_sweep) runs first. It compares the oracle
+    with the direct routes' sums, for each m on [0, min(oracle_max_n,
     max_n)], and drops each n's values before the next: keeping them would
     hold every h3(n) up to oracle_max_n, O(oracle_max_n^3) terms. So a
-    refusal of the oracle's budget raises before the caller runs any
-    direct route.
+    refusal of the oracle's budget raises before any direct route runs on
+    its own.
 
-    The direct sweep (_direct_sweep) compares each m's direct routes on
-    [0, max_n] and scans the recurrence's h3 for positivity. Its n are
-    claimed one at a time, largest first, by _processes(max_n) processes:
-    one for each CPU in os.sched_getaffinity(0) when each gets enough of
-    its weight, round((3n + 3)^2 / 12) per n. With one, the caller claims
-    every n itself after the oracle sweep; so it does on one CPU
-    (``taskset -c 0``), without os.fork, or while another thread runs.
-    Otherwise the caller forks the workers, writes every n to one pipe,
-    largest first, and runs the oracle sweep while they claim n from it;
-    then it claims what is left. Each process builds n's values with its
-    own cache and drops them before its next claim, so it holds
-    O(max_n^2) terms, the size of one h3[hn]. The workers send their
-    results back through pipes of their own. On every path each worker is
-    killed, if still running, and reaped. When a worker's route raised at
-    n, the caller runs n again: a route that raises there raises its own
-    exception, and one that does not makes the call raise RuntimeError
-    naming n, the worker's exception type and message.
+    The direct sweep (_direct_sweep) then runs on [0, max_n], n ascending.
+    At each n it compares the recurrence's columns of h3[hn] with
+    Thrall's, and scans the recurrence's for a negative coefficient; a
+    column holds shapes of at most three rows only. It compares the h2
+    routes' sums. It builds no h3 sum unless a comparison or the scan
+    fails, and keeps no n's values past the next n, so it holds the
+    recurrence's layers and the columns of at most two n: O(max_n^2) list
+    slots.
 
-    ``elapsed_ms["h{m}_{route}"]`` sums the times of that route's calls in
-    every process. Its keys and the mismatches follow the serial order:
-    direct routes by n, then the oracle by m and then n. Positivity
-    failures come by n; within one n, shapes descend.
+    ``elapsed_ms["h{m}_{route}"]`` sums the times of that route's calls:
+    for h3, of the calls that build its columns. Its keys and the
+    mismatches come in that order: direct routes by n, then the oracle by
+    m and then n. Positivity failures come by n; within one n, shapes
+    descend.
     """
     _check_terms(3, max_n, budget)
     ora_hi = min(oracle_max_n, max_n)
     report = VerificationReport(oracle_range=(0, ora_hi))
     cache = RecurrenceCache()
-    claims, workers = range(max_n, -1, -1), []
-    claim_fd = token_fd = None
-    try:
-        processes = _processes(max_n)
-        if processes > 1:
-            claim_fd, token_fd = os.pipe()
-            for _ in range(processes - 1):
-                workers.append(_fork_claimer(claim_fd, token_fd))
-            tokens = b"".join(n.to_bytes(_TOKEN, "big") for n in claims)
-            step = os.fpathconf(token_fd, "PC_PIPE_BUF") // _TOKEN * _TOKEN
-            for at in range(0, len(tokens), step):
-                os.write(token_fd, tokens[at:at + step])
-            os.close(token_fd)
-            token_fd = None
-            claims = _claims(claim_fd)
-        oracle_ms, oracle_mismatches = _oracle_sweep(cache, ora_hi, budget)
-        _direct_sweep(cache, claims, report.elapsed_ms, report.mismatches, report.positivity_failures)
-        failed = []
-        for pid, pipe in workers:
-            with pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError("verify worker exited without a result")
-            elapsed_ms, mismatches, failures, failure = marshal.loads(data)
-            # Each process's route times are keyed in _direct_sweep's order,
-            # so the merged keys are in the serial order.
-            for key, ms in elapsed_ms.items():
-                report.elapsed_ms[key] = report.elapsed_ms.get(key, 0.0) + ms
-            report.mismatches += mismatches
-            report.positivity_failures += failures
-            if failure:
-                failed.append(failure)
-        if failed:
-            # Which process claimed n depends on timing. Run again here, a
-            # failing route raises its own exception whoever claimed n.
-            n, message = min(failed)
-            _direct_sweep(cache, (n,), {}, [], [])
-            raise RuntimeError(f"verify worker on n={n}: {message}")
-    finally:
-        for fd in (claim_fd, token_fd):
-            if fd is not None:
-                os.close(fd)
-        for pid, pipe in workers:
-            pipe.close()
-            # Unreaped, a worker that has exited keeps its pid, so the
-            # kill cannot reach another process.
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-    # One process ran each n, and appended its rows in the serial order. So
-    # a stable sort by n, index 1 of each row, puts them all in that order.
-    report.mismatches.sort(key=lambda row: row[1])
-    report.positivity_failures.sort(key=lambda row: row[1])
+    oracle_ms, oracle_mismatches = _oracle_sweep(cache, ora_hi, budget)
+    _direct_sweep(cache, max_n, report)
     report.elapsed_ms.update(oracle_ms)
     report.mismatches += oracle_mismatches
     return report

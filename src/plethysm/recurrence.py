@@ -27,28 +27,34 @@ d = 2i, and s_441 odot T(n-2i-3) by (2i+4, 2i+4, 2i+1), the odd d = 2i+3.
 A shifted T(n-d) has third part d for even d and d - 2 for odd d, so the
 summands of h3[hn] have disjoint supports and every term of h3[hn] is
 exactly one shifted term of one layer. The cache stores only the layers
-T(j), each of O(j) terms, filled in one ascending pass, and assembles
-h3[hn] by shifting, in time and memory proportional to its size: O(n^2)
-for a cold h3[hn]. h2[hn] is built afresh on every call, in O(n).
+T(j), each of O(j) terms, filled in one ascending pass.
 
 A layer T(j) is the list of the coefficients of s_(3j - b, b) for
 0 <= b <= 3j//2, indexed by b, zeros included. The shift by (6, 6) from
 T(j - 4) to T(j) is six leading zeros, after which the two lists have the
-same length, 3j//2 + 1, and add elementwise. The shift by (x, x, z) from
-T(j) into h3[hn] builds the keys (3j - b + x, b + x, z) with C-level
-iterators and drops the zeros, so a sum costs O(n) Python-level steps.
-Every shift but the empty one has positive parts, and a shifted partition
-is a partition, so those keys are canonical as built. Only the unshifted
-layer, read through ``h3_two_row``, has a zero to strip, at b = 0.
+same length, 3j//2 + 1, and add elementwise.
+
+h3[hn] is read as its n + 1 columns: column c lists the coefficients of
+s_(3n-b-c, b, c) for c <= b <= (3n-c)//2, zeros included, 3(n-c)//2 + 1
+of them (SchurSum._from_columns). The layer with third part c is T(n - c)
+for even c, shifted by (c, c, c), and T(n - c - 2) for odd c, shifted by
+(c + 3, c + 3, c). Read as positions in column c, the first shift is none
+and the second is three leading zeros. So column c is T(n - c) as it
+stands for even c, and T(n - c - 2) after three zeros for odd c, cut to
+length when n - c < 2, where that layer is empty: O(n) Python-level steps
+and no keys for all n + 1. h3_columns hands them out; h3 and h3_two_row
+(column 0) build their sums from them, in time and memory proportional to
+their size: O(n^2) for a cold h3[hn]. h2[hn] is built afresh on every
+call, in O(n).
 
 The module keeps no cache of its own: the module-level h3_two_row and h3
 fill a fresh one that is dropped on return, so a loop over n that should
 reuse the layers calls one RecurrenceCache's methods. The cache keeps no
 sums; dent_differences reads its m = 3 differences from its own cache's
-layers.
+columns.
 """
 
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add
 
 from .schur import SchurSum, s
@@ -86,9 +92,9 @@ def _two_row_step(previous: list[int], j: int) -> list[int]:
 class RecurrenceCache:
     """Memo table for the h3 recurrence: the layers T(j), filled in one
     ascending pass and kept, each as the list of coefficients of
-    s_(3j-b, b) indexed by b, zeros included. h3[hn] is T(n) plus each
-    lower layer T(n - d) shifted once by mu(d), assembled on every call and
-    not kept; h2[hn] needs no layers. A layer is never mutated once stored,
+    s_(3j-b, b) indexed by b, zeros included. h3[hn] is assembled from
+    its columns, the layers read in place, on every call and not kept;
+    h2[hn] needs no layers. A layer is never mutated once stored,
     so every call equals a fresh recomputation. Concurrent use is safe
     without a lock: a thread stores T(j) only after T(j - 1) is there, so
     the keys stay 0..len - 1, building a layer twice is idempotent, and an
@@ -111,30 +117,27 @@ class RecurrenceCache:
     def h2(self, n: int) -> SchurSum:
         return h2_rec(n)
 
-    def h3_two_row(self, n: int) -> SchurSum:
-        layer = self._layer(n)
-        # s_(3n - b, b) for b >= 1, then s_(3n) with its zero stripped.
-        coeffs = layer[1:]
-        keys = zip(range(3 * n - 1, 0, -1), range(1, len(layer)))
-        terms = dict(zip(compress(keys, coeffs), filter(None, coeffs)))
-        if layer and layer[0]:
-            terms[(3 * n,) if n else ()] = layer[0]
-        return SchurSum._wrap(terms)
+    def h3_columns(self, n: int, stop: int | None = None) -> list[list[int]]:
+        """The columns 0, ..., stop - 1 of h3[hn], all n + 1 by default,
+        as the module docstring lays them out; none for negative n. An
+        even column is the cache's own layer, which its caller must not
+        mutate."""
+        self._layer(n)
+        table, columns = self._two_row, []
+        for c in range(n + 1 if stop is None else min(stop, n + 1)):
+            if c % 2 == 0:
+                columns.append(table[n - c])
+            elif n - c >= 2:
+                columns.append([0, 0, 0, *table[n - c - 2]])
+            else:  # T(n - c - 2) is empty: three zeros cut to length
+                columns.append([0] * (3 * (n - c) // 2 + 1))
+        return columns
 
-    def _shifted(self, j: int, x: int, z: int):
-        # The (key, coefficient) pairs of the filled layer T(j) shifted by
-        # (x, x, z), zeros dropped; none for negative j.
-        layer = self._two_row.get(j, [])
-        keys = zip(range(3 * j + x, 0, -1), range(x, x + len(layer)), repeat(z))
-        return zip(compress(keys, layer), filter(None, layer))
+    def h3_two_row(self, n: int) -> SchurSum:
+        return SchurSum._from_columns(n, self.h3_columns(n, 1))
 
     def h3(self, n: int) -> SchurSum:
-        terms = self.h3_two_row(n)._terms  # a fresh dict; fills T(0), ..., T(n)
-        for j in range(n - 1):
-            d = n - j
-            x, z = (d, d) if d % 2 == 0 else (d + 1, d - 2)
-            terms.update(self._shifted(j, x, z))
-        return SchurSum._wrap(terms)
+        return SchurSum._from_columns(n, self.h3_columns(n))
 
 
 def h3_two_row(n: int) -> SchurSum:
@@ -155,13 +158,13 @@ def dent_differences(m: int, max_n: int):
     2 <= n <= max_n; m in {2, 3}.
 
     For m = 2 each term is the difference of two closed-form sums. For
-    m = 3 it is the recurrence's own term D(n) = T(n) + s_441 odot T(n-3),
-    built from one RecurrenceCache's layers: T(n) and T(n-3) shifted by
-    (4, 4, 1), the shift h3 gives T(n-3), into one dict. Their supports
-    are disjoint, as the third parts are 0 and 1. So D(n) is positive by
-    construction; cli.cmd_dent's check of its value at m ones is the one
-    that a wrong layer entry fails. Comparing D(n) with Thrall's difference
-    in the CLI is still ROADMAP item 3.
+    m = 3 it is the recurrence's own term D(n) = T(n) + s_441 odot T(n-3):
+    T(n) has third part 0 and T(n-3), shifted by (4, 4, 1), third part 1,
+    so D(n) is exactly the columns 0 and 1 of h3[hn], read from one
+    RecurrenceCache. So D(n) is positive by construction; cli.cmd_dent's
+    check of its value at m ones is the one that a wrong layer entry fails.
+    Comparing D(n) with Thrall's difference in the CLI is still ROADMAP
+    item 3.
     """
     if m == 2:
         column = s(2, 2)
@@ -170,8 +173,6 @@ def dent_differences(m: int, max_n: int):
     elif m == 3:
         cache = RecurrenceCache()
         for n in range(2, max_n + 1):
-            terms = cache.h3_two_row(n)._terms  # a fresh dict; fills T(0), ..., T(n)
-            terms.update(cache._shifted(n - 3, 4, 1))
-            yield n, SchurSum._wrap(terms)
+            yield n, SchurSum._from_columns(n, cache.h3_columns(n, 2))
     else:
         raise ValueError("m must be 2 or 3")

@@ -25,7 +25,7 @@ same terms as data.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import prod
 from operator import add
 
@@ -63,6 +63,32 @@ class SchurSum:
         obj = cls.__new__(cls)
         obj._terms = terms
         return obj
+
+    @classmethod
+    def _from_columns(cls, n: int, columns: list[list[int]]) -> "SchurSum":
+        # The sum of shapes of 3n cells in at most three rows whose column
+        # c lists the coefficients of s_(3n-b-c, b, c) for
+        # c <= b <= (3n-c)//2, zeros included: 3(n-c)//2 + 1 of them. The
+        # columns are 0, ..., len(columns) - 1, at most n + 1 of them, and
+        # none for negative n, which gives the zero sum.
+        if len(columns) > max(n + 1, 0):
+            raise ValueError(f"{len(columns)} columns for shapes of {3 * n} cells, at most {max(n + 1, 0)}")
+        w = 3 * n
+        parts = list(range(w + 1))  # one int object per part, shared by the keys
+        terms = {}
+        for c, column in enumerate(columns):
+            size = 3 * (n - c) // 2 + 1
+            if len(column) != size:
+                raise ValueError(f"column {c} of shapes of {w} cells has {len(column)} entries, not {size}")
+            if c:
+                keys = zip(parts[w - 2 * c:w - 2 * c - size:-1], parts[c:c + size], repeat(parts[c]))
+            else:  # two-row keys (w - b, b) for b >= 1; b = 0 follows
+                keys = zip(parts[w - 1:w - size:-1], parts[1:size])
+                column = column[1:]
+            terms.update(zip(compress(keys, column), filter(None, column)))
+        if columns and columns[0][0]:
+            terms[(w,) if w else ()] = columns[0][0]
+        return cls._wrap(terms)
 
     @classmethod
     def zero(cls) -> "SchurSum":

@@ -6,13 +6,14 @@ min(1 + lam1 - lam2, 1 + lam2 - lam3) and the parity of lam2. Thrall's
 classical formula expresses it in closed form; an equivalent recursion
 steps the gap statistic down by six, adding one per step.
 
-``h3_thrall(n)`` assembles the triples a >= b >= c >= 0 with
-a + b + c = 3n one middle part b at a time, each row's coefficients one
-slice of one closed-form table, through C-level iterators: O(n^2) terms,
-O(n) Python-level steps, no shape re-checked.
+``h3_columns(n)`` lists the coefficients of h3[hn] as its n + 1 columns,
+column c those of s_(3n-b-c, b, c) for c <= b <= (3n-c)//2, zeros
+included. Entry t = b - c of column c has gap statistic
+min(1 + t, 1 + 3(n-c) - 2t) and parity (t + c) % 2, so each column is
+four stepped slices of one closed-form table: O(n) Python-level steps for
+the O(n^2) coefficients, no shape re-checked. ``h3_thrall(n)`` builds its
+sum from them.
 """
-
-from itertools import compress, repeat
 
 # partitions_of is not used here. It stays importable from this module
 # because the per-layer trace in perfbench/spans.py hooks it by this name.
@@ -81,28 +82,35 @@ def h3_coeff_recursive(lam) -> int:
     return coeff_from_gap(min_gap(lam), lam.part(1) % 2)
 
 
-def h3_thrall(n: int) -> SchurSum:
-    """Schur expansion of h3[hn], assembled from the closed formula.
+def h3_columns(n: int) -> list[list[int]]:
+    """The n + 1 columns of h3[hn] by the closed formula.
 
-    Row b holds the triples (3n - b - c, b, c) for 0 <= c <= top, with
-    top = min(b, 3n - 2b). Their gap statistic is top + 1 - c and their
-    parity b % 2, so for c = top down to 1 the coefficients are one slice,
-    gaps 1 to top, of a table of the closed formula built once per call,
-    and the two-row key c = 0 takes the entry after it. Each row's keys
-    and coefficients pass through C-level iterators, zeros dropped.
+    Column c lists the coefficients of s_(3n-b-c, b, c) for
+    c <= b <= (3n-c)//2, zeros included. With k = n - c and t = b - c, the
+    gap statistic is 1 + t for t <= k and 1 + 3k - 2t after, and the parity
+    is (t + c) % 2. So along the column the parity alternates, and each
+    parity reads one table of the closed formula, built once per call, in
+    two stepped slices: gaps ascending by 2 up to t = k, then descending by
+    4 from there.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    w = 3 * n
-    table = [[_closed(gap, p) for gap in range(n + 2)] for p in (0, 1)]  # top <= n
-    parts = list(range(w + 1))  # one int object per part, shared by the keys
-    terms = {}
-    for b in range(w // 2 + 1):
-        top = min(b, w - 2 * b)
-        row = table[b % 2]
-        coeffs = row[1:top + 1]  # c = top, ..., 1
-        keys = zip(parts[w - b - top:w - b], repeat(b), parts[top:0:-1])
-        terms.update(zip(compress(keys, coeffs), filter(None, coeffs)))
-        if row[top + 1]:
-            terms[(w - b, b) if b else (w,) if w else ()] = row[top + 1]
-    return SchurSum._wrap(terms)
+    table = [[_closed(gap, p) for gap in range(n + 2)] for p in (0, 1)]  # gaps <= n + 1
+    columns = []
+    for c in range(n + 1):
+        k = n - c
+        column = [0] * (3 * k // 2 + 1)
+        column[0:k + 1:2] = table[c % 2][1:k + 2:2]  # t = 0, 2, ...: gaps 1, 3, ...
+        column[1:k + 1:2] = table[1 - c % 2][2:k + 2:2]
+        # t = k + 1, k + 3, ...: gaps k - 1, k - 5, ..., down to 1, parity
+        # (k + 1 + c) % 2 = (n + 1) % 2; then t = k + 2, ...: gaps k - 3,
+        # .... Where no such t exists, max keeps a slice from wrapping.
+        column[k + 1::2] = table[(n + 1) % 2][max(k - 1, 0):0:-4]
+        column[k + 2::2] = table[n % 2][max(k - 3, 0):0:-4]
+        columns.append(column)
+    return columns
+
+
+def h3_thrall(n: int) -> SchurSum:
+    """Schur expansion of h3[hn], assembled from the closed formula."""
+    return SchurSum._from_columns(n, h3_columns(n))

@@ -5,13 +5,15 @@ reads as ``<t>``: timings vary from run to run, the rest of the output
 (line order, labels, columns) does not.
 """
 
+import operator
 import re
 
 import pytest
 
 import plethysm.cli as cli
 import plethysm.recurrence as recurrence
-from plethysm import RecurrenceCache, SchurSum, s
+import plethysm.thrall as thrall
+from plethysm import RecurrenceCache, s
 from plethysm.cli import main
 
 _TIMING = re.compile(r" *\d+\.\d+")
@@ -243,7 +245,9 @@ def test_cli_golden(capsys, monkeypatch, argv, code, stdout):
 
 
 # Failing runs of `verify --max-n 8 --oracle-max-n 4`, each route's fault
-# injected by adding a fixed SchurSum to its value at chosen n. The output
+# injected by adding a fixed SchurSum to its value at chosen n: for the h3
+# routes, to the columns their column builders return, which both the
+# direct sweep and the routes' sums in the oracle sweep read. The output
 # pins the order of the failure lines: direct-route mismatches by n (h3
 # before h2 at equal n), then oracle mismatches by m and then n, then
 # positivity failures by n; within one n, shapes in descending order.
@@ -251,27 +255,43 @@ def test_cli_golden(capsys, monkeypatch, argv, code, stdout):
 THRALL_FAULTS = {3: s(3, 3, 3) - s(7, 2), 7: s(12, 9) + s(21)}
 H2_CLOSED_FAULTS = {2: s(3, 1), 6: -s(12)}
 ORACLE_FAULTS = {(3, 4): -s(12), (3, 1): s(2, 1), (2, 2): s(2, 2)}
-RECURRENCE_FAULTS = {3: s(3, 2, 2, 1, 1) - 2 * s(3, 3, 3), 5: -2 * s(15)}
+RECURRENCE_FAULTS = {3: -s(5, 3, 1) - 2 * s(3, 3, 3), 5: -2 * s(15)}
 
 
-def _with_faults(route, faults, key):
+def _add_to_columns(columns, fault):
+    # The columns of h3[hn] with the SchurSum fault added, each changed
+    # column copied: an even column of the recurrence is its cache's layer.
+    columns = list(columns)
+    for lam, coeff in fault.terms():
+        assert len(lam) <= 3, "a column holds shapes of at most three rows"
+        _, b, c = (*lam, 0, 0)[:3]
+        if c < len(columns):
+            columns[c] = list(columns[c])
+            columns[c][b - c] += coeff
+    return columns
+
+
+def _with_faults(route, faults, key, add=operator.add):
     def faulty(*args, **kwargs):
-        total = route(*args, **kwargs)
-        return total + faults.get(key(*args), SchurSum.zero())
+        value = route(*args, **kwargs)
+        fault = faults.get(key(*args))
+        return add(value, fault) if fault else value
     return faulty
 
 
 def _inject(monkeypatch, routes):
     if "thrall" in routes:
-        monkeypatch.setattr(cli, "h3_thrall", _with_faults(cli.h3_thrall, THRALL_FAULTS, lambda n: n))
+        monkeypatch.setattr(thrall, "h3_columns",
+                            _with_faults(thrall.h3_columns, THRALL_FAULTS, lambda n: n, _add_to_columns))
     if "closed" in routes:
         monkeypatch.setattr(cli, "h2_closed", _with_faults(cli.h2_closed, H2_CLOSED_FAULTS, lambda n: n))
     if "oracle" in routes:
         monkeypatch.setattr(cli, "plethysm_oracle",
                             _with_faults(cli.plethysm_oracle, ORACLE_FAULTS, lambda m, n: (m, n)))
     if "recurrence" in routes:
-        monkeypatch.setattr(RecurrenceCache, "h3",
-                            _with_faults(RecurrenceCache.h3, RECURRENCE_FAULTS, lambda cache, n: n))
+        monkeypatch.setattr(RecurrenceCache, "h3_columns",
+                            _with_faults(RecurrenceCache.h3_columns, RECURRENCE_FAULTS,
+                                         lambda cache, n, stop=None: n, _add_to_columns))
 
 
 VERIFY_HEADER = """\
@@ -319,13 +339,13 @@ FAIL (3 mismatches, 0 positivity failures)
     (
         ("recurrence",),
         """\
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[5, 3, 1]: recurrence=-1 thrall=0
 MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=0
-MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0
 MISMATCH [h3 recurrence vs thrall] n=5 lambda=[15]: recurrence=-1 thrall=1
+MISMATCH [h3 vs oracle] n=3 lambda=[5, 3, 1]: recurrence=-1 thrall=0 oracle=0
 MISMATCH [h3 vs oracle] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=0 oracle=0
-MISMATCH [h3 vs oracle] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0 oracle=0
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[5, 3, 1] coeff=-1
 POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 3, 3] coeff=-2
-POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 2, 2, 1, 1] coeff=1
 POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=5 lambda=[15] coeff=-1
 FAIL (5 mismatches, 3 positivity failures)
 """,
@@ -335,21 +355,21 @@ FAIL (5 mismatches, 3 positivity failures)
         """\
 MISMATCH [h2 recurrence vs closed] n=2 lambda=[3, 1]: recurrence=0 closed=1
 MISMATCH [h3 recurrence vs thrall] n=3 lambda=[7, 2]: recurrence=1 thrall=0
+MISMATCH [h3 recurrence vs thrall] n=3 lambda=[5, 3, 1]: recurrence=-1 thrall=0
 MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=1
-MISMATCH [h3 recurrence vs thrall] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0
 MISMATCH [h3 recurrence vs thrall] n=5 lambda=[15]: recurrence=-1 thrall=1
 MISMATCH [h2 recurrence vs closed] n=6 lambda=[12]: recurrence=1 closed=0
 MISMATCH [h3 recurrence vs thrall] n=7 lambda=[21]: recurrence=1 thrall=2
 MISMATCH [h3 recurrence vs thrall] n=7 lambda=[12, 9]: recurrence=1 thrall=2
 MISMATCH [h3 vs oracle] n=1 lambda=[2, 1]: recurrence=0 thrall=0 oracle=1
 MISMATCH [h3 vs oracle] n=3 lambda=[7, 2]: recurrence=1 thrall=0 oracle=1
+MISMATCH [h3 vs oracle] n=3 lambda=[5, 3, 1]: recurrence=-1 thrall=0 oracle=0
 MISMATCH [h3 vs oracle] n=3 lambda=[3, 3, 3]: recurrence=-2 thrall=1 oracle=0
-MISMATCH [h3 vs oracle] n=3 lambda=[3, 2, 2, 1, 1]: recurrence=1 thrall=0 oracle=0
 MISMATCH [h3 vs oracle] n=4 lambda=[12]: recurrence=1 thrall=1 oracle=0
 MISMATCH [h2 vs oracle] n=2 lambda=[3, 1]: recurrence=0 closed=1 oracle=0
 MISMATCH [h2 vs oracle] n=2 lambda=[2, 2]: recurrence=1 closed=1 oracle=2
+POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[5, 3, 1] coeff=-1
 POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 3, 3] coeff=-2
-POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=3 lambda=[3, 2, 2, 1, 1] coeff=1
 POSITIVITY FAILURE [h3 nonnegative, at most 3 rows] n=5 lambda=[15] coeff=-1
 FAIL (15 mismatches, 3 positivity failures)
 """,

@@ -14,6 +14,7 @@ import pytest
 
 import plethysm
 import plethysm.cli as cli
+import plethysm.thrall as thrall
 from plethysm import (
     RecurrenceCache,
     dent_differences,
@@ -89,22 +90,30 @@ CALLS = {
     "schur_poly": lambda: schur_poly((3, 2, 1), 4),
 }
 
-# Faults injected where correct code cannot fail: a cli name and its stand-in.
+def _bumped_columns(n, columns=thrall.h3_columns):
+    # Thrall's columns of h3[hn] off by s_(3n), to fail both of verify's
+    # sweeps.
+    columns = columns(n)
+    columns[0][0] += 1
+    return columns
+
+
+# Faults injected where correct code cannot fail: a module, a name in it
+# and its stand-in.
 FAULTS = {
-    "verify_exit_1": ("h3_thrall", lambda n: h3_thrall(n) + s(3 * n)),
-    "dent_exit_1": ("dent_differences", lambda m, max_n: iter([(2, s(6) - s(4, 2))])),
-    "foulkes_exit_1": ("foulkes_difference", lambda m, n, budget: -s(4, 2)),
+    "verify_exit_1": (thrall, "h3_columns", _bumped_columns),
+    "dent_exit_1": (cli, "dent_differences", lambda m, max_n: iter([(2, s(6) - s(4, 2))])),
+    "foulkes_exit_1": (cli, "foulkes_difference", lambda m, n, budget: -s(4, 2)),
 }
 
 
 @pytest.mark.parametrize("name", list(CALLS))
-def test_calls_build_no_reference_cycles(capsys, monkeypatch, verify_cpus, name):
+def test_calls_build_no_reference_cycles(capsys, monkeypatch, name):
     # Everything a call drops must be freed by reference counting: with the
-    # collector off during the call, it finds nothing afterwards. verify
-    # forks its worker (two CPUs) and bench times every route.
-    verify_cpus(2)
+    # collector off during the call, it finds nothing afterwards. bench
+    # times every route.
     if name in FAULTS:
-        monkeypatch.setattr(cli, *FAULTS[name])
+        monkeypatch.setattr(*FAULTS[name])
     cli.main(["dent", "--max-n", "2"])  # builds the kept parser outside the count
     capsys.readouterr()
     gc.collect()

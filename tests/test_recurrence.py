@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from plethysm import (
+    Partition,
     RecurrenceCache,
     SchurSum,
     dent_differences,
@@ -15,6 +16,7 @@ from plethysm import (
     h3_two_row,
     s,
 )
+import plethysm.thrall as thrall
 
 
 def test_h2_closed_known_values():
@@ -147,3 +149,38 @@ def test_cold_h3_memory_stays_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _by_partitions(n, columns):
+    # The sum whose columns of h3[hn] are ``columns``, term by term, each
+    # key checked into a Partition, which strips its zero parts.
+    return SchurSum({Partition((3 * n - b - c, b, c)): coeff
+                     for c, column in enumerate(columns) for b, coeff in enumerate(column, c)})
+
+
+@pytest.mark.parametrize("route", ["recurrence", "thrall"])
+def test_sum_from_columns_matches_partition_reference(route):
+    cache = RecurrenceCache()
+    for n in range(61):
+        columns = cache.h3_columns(n) if route == "recurrence" else thrall.h3_columns(n)
+        for stop in (1, 2, n + 1):  # h3_two_row, dent's D(n) and h3
+            assert SchurSum._from_columns(n, columns[:stop]) == _by_partitions(n, columns[:stop]), (n, stop)
+
+
+def test_sum_from_columns_rejects_a_wrong_layout():
+    columns = thrall.h3_columns(4)  # lengths 7, 5, 4, 2, 1
+    with pytest.raises(ValueError, match=r"^6 columns for shapes of 12 cells, at most 5$"):
+        SchurSum._from_columns(4, [*columns, [0]])
+    with pytest.raises(ValueError, match=r"^1 columns for shapes of -3 cells, at most 0$"):
+        SchurSum._from_columns(-1, [[1]])
+    for c, column in enumerate(columns):
+        for wrong in (column[:-1], [*column, 0]):
+            with pytest.raises(ValueError, match=rf"^column {c} of shapes of 12 cells has {len(wrong)} entries"):
+                SchurSum._from_columns(4, [*columns[:c], wrong, *columns[c + 1:]])
+
+
+def test_routes_columns_agree_through_300():
+    # verify compares the two h3 routes as these columns.
+    cache = RecurrenceCache()
+    for n in range(301):
+        assert cache.h3_columns(n) == thrall.h3_columns(n), n

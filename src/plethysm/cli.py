@@ -14,7 +14,9 @@ never touch ``gc``.
 
 verify runs in the calling process and forks nothing: its oracle sweep,
 then its direct sweep, which compares the two h3 routes column by column
-(see ``run_verify``).
+(see ``run_verify``). dent --m 3 checks each difference D(n) from its two
+columns of h3[hn] too (see ``_dent_checks``). Both build a sum from
+columns only to list what fails.
 
 The one object the module keeps between calls is the argparse parser,
 built by the first ``main`` call. It holds no computed value.
@@ -277,6 +279,34 @@ def cmd_foulkes(args) -> int:
     return EXIT_OK if positive else EXIT_FAIL
 
 
+def _negative_terms(total: SchurSum) -> list[tuple]:
+    return [(list(lam), c) for lam, c in total.terms() if c < 0]
+
+
+def _dent_checks(m: int, max_n: int):
+    """Yield (n, terms, negative terms, value at m ones) of each dent
+    difference D(n), 2 <= n <= max_n, as ``dent_differences`` defines it.
+
+    For m = 2 they are read from its sums. For m = 3, D(n) is columns 0
+    and 1 of h3[hn], read from one RecurrenceCache: the terms are the
+    nonzero entries, and the value is a dot product with Weyl's products
+    (SchurSum._columns_at_three_ones). A sum is built from the columns
+    only to list the negative terms of an n that has them.
+    """
+    if m == 2:
+        for n, diff in dent_differences(m, max_n):
+            yield n, len(diff), _negative_terms(diff), diff.eval_at_ones(m)
+        return
+    cache = RecurrenceCache()
+    for n in range(2, max_n + 1):
+        columns = cache.h3_columns(n, 2)
+        bad = []
+        if min(map(min, columns)) < 0:
+            bad = _negative_terms(SchurSum._from_columns(n, columns))
+        terms = sum(len(column) - column.count(0) for column in columns)
+        yield n, terms, bad, SchurSum._columns_at_three_ones(n, columns)
+
+
 def cmd_dent(args) -> int:
     if args.max_n < 2:
         print("error: --max-n must be at least 2", file=sys.stderr)
@@ -289,17 +319,16 @@ def cmd_dent(args) -> int:
     # the two-row partitions of 3j shifted.
     _check_terms(m, args.max_n, args.budget)
     not_positive = wrong_values = 0
-    for n, diff in dent_differences(m, args.max_n):
-        if diff.is_schur_positive():
-            print(f"n={n}: positive ({len(diff)} terms)")
-        else:
+    for n, terms, bad, value in _dent_checks(m, args.max_n):
+        if bad:
             not_positive += 1
-            bad = [(list(lam), c) for lam, c in diff.terms() if c < 0]
             print(f"n={n}: NOT POSITIVE, negative terms {bad}")
+        else:
+            print(f"n={n}: positive ({terms} terms)")
         # A full column leaves Weyl's product unchanged, so s_(2^m) odot X
         # has the value of X at m ones, and h_m[h_n] at m ones counts the
         # multisets of m degree-n monomials in m variables.
-        value, expected = diff.eval_at_ones(m), multiset_count(m, n, m) - multiset_count(m, n - 2, m)
+        expected = multiset_count(m, n, m) - multiset_count(m, n - 2, m)
         if value != expected:
             wrong_values += 1
             print(f"n={n}: WRONG VALUE {value} at {m} ones, expected {expected} from multiset counts")

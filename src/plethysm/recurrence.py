@@ -161,8 +161,9 @@ def dent_differences(m: int, max_n: int):
     m = 3 it is the recurrence's own term D(n) = T(n) + s_441 odot T(n-3):
     T(n) has third part 0 and T(n-3), shifted by (4, 4, 1), third part 1,
     so D(n) is exactly the columns 0 and 1 of h3[hn], read from one
-    RecurrenceCache. So D(n) is positive by construction; cli.cmd_dent's
-    check of its value at m ones is the one that a wrong layer entry fails.
+    RecurrenceCache. So D(n) is positive by construction; the check of its
+    value at m ones is the one that a wrong layer entry fails. cli.cmd_dent
+    reads the same columns itself, without building these sums.
     Comparing D(n) with Thrall's difference in the CLI is still ROADMAP
     item 3.
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress, repeat
 from math import prod
-from operator import add
+from operator import add, and_, mul
 
 from .partition import Partition
 
@@ -64,22 +64,31 @@ class SchurSum:
         obj._terms = terms
         return obj
 
-    @classmethod
-    def _from_columns(cls, n: int, columns: list[list[int]]) -> "SchurSum":
-        # The sum of shapes of 3n cells in at most three rows whose column
-        # c lists the coefficients of s_(3n-b-c, b, c) for
-        # c <= b <= (3n-c)//2, zeros included: 3(n-c)//2 + 1 of them. The
-        # columns are 0, ..., len(columns) - 1, at most n + 1 of them, and
-        # none for negative n, which gives the zero sum.
+    @staticmethod
+    def _checked_columns(n: int, columns: list[list[int]]):
+        # Yields (c, column) for columns 0, ..., len(columns) - 1 of shapes
+        # of 3n cells in at most three rows, after checking their count and
+        # each one's length: column c lists the coefficients of
+        # s_(3n-b-c, b, c) for c <= b <= (3n-c)//2, zeros included,
+        # 3(n-c)//2 + 1 of them. There are at most n + 1 columns, and none
+        # for negative n, which gives the zero sum.
         if len(columns) > max(n + 1, 0):
             raise ValueError(f"{len(columns)} columns for shapes of {3 * n} cells, at most {max(n + 1, 0)}")
-        w = 3 * n
-        parts = list(range(w + 1))  # one int object per part, shared by the keys
-        terms = {}
         for c, column in enumerate(columns):
             size = 3 * (n - c) // 2 + 1
             if len(column) != size:
-                raise ValueError(f"column {c} of shapes of {w} cells has {len(column)} entries, not {size}")
+                raise ValueError(f"column {c} of shapes of {3 * n} cells has {len(column)} entries, not {size}")
+            yield c, column
+
+    @classmethod
+    def _from_columns(cls, n: int, columns: list[list[int]]) -> "SchurSum":
+        # The sum whose columns are ``columns``, laid out as in
+        # _checked_columns.
+        w = 3 * n
+        parts = list(range(w + 1))  # one int object per part, shared by the keys
+        terms = {}
+        for c, column in cls._checked_columns(n, columns):
+            size = len(column)
             if c:
                 keys = zip(parts[w - 2 * c:w - 2 * c - size:-1], parts[c:c + size], repeat(parts[c]))
             else:  # two-row keys (w - b, b) for b >= 1; b = 0 follows
@@ -89,6 +98,22 @@ class SchurSum:
         if columns and columns[0][0]:
             terms[(w,) if w else ()] = columns[0][0]
         return cls._wrap(terms)
+
+    @staticmethod
+    def _columns_at_three_ones(n: int, columns: list[list[int]]) -> int:
+        # _from_columns(n, columns).eval_at_ones(3), without the keys: a dot
+        # product of each column with Weyl's products. Entry t of column c
+        # is the shape (3k + c - t, c + t, c), k = n - c, whose product is
+        # (3k - 2t + 1)(t + 1)(3k - t + 2) / 2.
+        twice = 0
+        for c, column in SchurSum._checked_columns(n, columns):
+            k3, size = 3 * (n - c), len(column)
+            nums = list(map(mul, map(mul, range(k3 + 1, k3 + 1 - 2 * size, -2), range(1, size + 1)),
+                            range(k3 + 2, k3 + 2 - size, -1)))
+            for t in compress(range(size), map(and_, nums, repeat(1))):  # the first odd one
+                raise AssertionError(f"Weyl product for {Partition((k3 + c - t, c + t, c))!r}, k=3 is not integral")
+            twice += sum(map(mul, column, nums))
+        return twice // 2
 
     @classmethod
     def zero(cls) -> "SchurSum":

@@ -9,10 +9,11 @@ steps the gap statistic down by six, adding one per step.
 ``h3_columns(n)`` lists the coefficients of h3[hn] as its n + 1 columns,
 column c those of s_(3n-b-c, b, c) for c <= b <= (3n-c)//2, zeros
 included. Entry t = b - c of column c has gap statistic
-min(1 + t, 1 + 3(n-c) - 2t) and parity (t + c) % 2, so each column is
-four stepped slices of one closed-form table: O(n) Python-level steps for
-the O(n^2) coefficients, no shape re-checked. ``h3_thrall(n)`` builds its
-sum from them.
+min(1 + t, 1 + 3(n-c) - 2t) and parity (t + c) % 2, so each column is a
+slice of one of two head lists and a stepped slice of one of four tail
+lists, all read from one closed-form table per call: O(n) Python-level
+steps for the O(n^2) coefficients, no shape re-checked. ``h3_thrall(n)``
+builds its sum from them.
 """
 
 # partitions_of is not used here. It stays importable from this module
@@ -88,27 +89,37 @@ def h3_columns(n: int) -> list[list[int]]:
     Column c lists the coefficients of s_(3n-b-c, b, c) for
     c <= b <= (3n-c)//2, zeros included. With k = n - c and t = b - c, the
     gap statistic is 1 + t for t <= k and 1 + 3k - 2t after, and the parity
-    is (t + c) % 2. So along the column the parity alternates, and each
-    parity reads one table of the closed formula, built once per call, in
-    two stepped slices: gaps ascending by 2 up to t = k, then descending by
-    4 from there.
+    is (t + c) % 2. Both read one table of the closed formula per parity,
+    built once per call.
+
+    Up to t = k the entry is head[t] = table[(t + c) % 2][1 + t], which
+    depends on c only through its parity: one head list per parity, read
+    as head[:k + 1]. After that, t = k + u for 1 <= u <= k // 2, the gap
+    is k + 1 - 2u and the parity (n + u) % 2. At table index i = k + 1 - 2u
+    the parity is (n + (k + 1 - i) / 2) % 2, which depends on k only
+    through k % 4: one tail list per k % 4, holding that table's entry at
+    each i of the parity of k + 1, read as tail[k - 1:0:-2]. So each column
+    is two slices joined.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     table = [[_closed(gap, p) for gap in range(n + 2)] for p in (0, 1)]  # gaps <= n + 1
-    columns = []
-    for c in range(n + 1):
-        k = n - c
-        column = [0] * (3 * k // 2 + 1)
-        column[0:k + 1:2] = table[c % 2][1:k + 2:2]  # t = 0, 2, ...: gaps 1, 3, ...
-        column[1:k + 1:2] = table[1 - c % 2][2:k + 2:2]
-        # t = k + 1, k + 3, ...: gaps k - 1, k - 5, ..., down to 1, parity
-        # (k + 1 + c) % 2 = (n + 1) % 2; then t = k + 2, ...: gaps k - 3,
-        # .... Where no such t exists, max keeps a slice from wrapping.
-        column[k + 1::2] = table[(n + 1) % 2][max(k - 1, 0):0:-4]
-        column[k + 2::2] = table[n % 2][max(k - 3, 0):0:-4]
-        columns.append(column)
-    return columns
+    heads = []
+    for q in (0, 1):  # head[t] = table[(t + q) % 2][1 + t], t <= n
+        head = [0] * (n + 1)
+        head[0::2] = table[q][1::2]
+        head[1::2] = table[1 - q][2::2]
+        heads.append(head)
+    tails = []
+    for r in range(4):
+        # For k = r (mod 4), at each i of the parity of k + 1: (k + 1 - i) / 2
+        # is even at i = r + 1 (mod 4) and odd at i = r + 3 (mod 4).
+        tail = [0] * (n + 2)
+        tail[(r + 1) % 4::4] = table[n % 2][(r + 1) % 4::4]
+        tail[(r + 3) % 4::4] = table[1 - n % 2][(r + 3) % 4::4]
+        tails.append(tail)
+    # max keeps the tail's slice from wrapping at k = 0.
+    return [heads[c % 2][:n - c + 1] + tails[(n - c) % 4][max(n - c - 1, 0):0:-2] for c in range(n + 1)]
 
 
 def h3_thrall(n: int) -> SchurSum:

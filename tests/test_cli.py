@@ -223,6 +223,20 @@ def test_verify_builds_no_h3_sum_on_a_pass(monkeypatch):
     assert built and max(built) == 3
 
 
+def test_dent_builds_no_sum_on_a_pass(capsys, monkeypatch):
+    # dent --m 3 checks each D(n) from its two columns.
+    built, from_columns = [], SchurSum._from_columns
+
+    def counted(n, columns):
+        built.append(n)
+        return from_columns(n, columns)
+
+    monkeypatch.setattr(SchurSum, "_from_columns", counted)
+    assert main(["dent", "--m", "3", "--max-n", "40"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert not built
+
+
 def test_verify_forks_nothing_with_two_cpus(monkeypatch):
     def no_fork():
         raise AssertionError("verify forked")

@@ -388,9 +388,10 @@ def test_verify_failure_golden(capsys, monkeypatch, routes, failures):
 
 def test_dent_failure_golden(capsys, monkeypatch):
     # Correct layers cannot make a dent difference negative, so the failure
-    # output is reached only through injected differences.
-    differences = [(2, s(6) - s(4, 2)), (3, s(9))]
-    monkeypatch.setattr(cli, "dent_differences", lambda m, max_n: iter(differences))
+    # output is reached only through injected columns: D(2) = s_6 - s_42 and
+    # D(3) = s_9, as columns 0 and 1 of h3[h2] and h3[h3].
+    differences = {2: [[1, 0, -1, 0], [0, 0]], 3: [[1, 0, 0, 0, 0], [0, 0, 0, 0]]}
+    monkeypatch.setattr(RecurrenceCache, "h3_columns", lambda self, n, stop=None: differences[n])
     assert main(["dent", "--m", "3", "--max-n", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == """\

@@ -102,7 +102,8 @@ def _bumped_columns(n, columns=thrall.h3_columns):
 # and its stand-in.
 FAULTS = {
     "verify_exit_1": (thrall, "h3_columns", _bumped_columns),
-    "dent_exit_1": (cli, "dent_differences", lambda m, max_n: iter([(2, s(6) - s(4, 2))])),
+    # D(2) = s_6 - s_42, as columns 0 and 1 of h3[h2].
+    "dent_exit_1": (RecurrenceCache, "h3_columns", lambda self, n, stop=None: [[1, 0, -1, 0], [0, 0]]),
     "foulkes_exit_1": (cli, "foulkes_difference", lambda m, n, budget: -s(4, 2)),
 }
 
@@ -120,9 +121,11 @@ def test_calls_build_no_reference_cycles(capsys, monkeypatch, name):
     was = gc.isenabled()
     gc.disable()
     try:
-        CALLS[name]()
+        result = CALLS[name]()
         found = gc.collect()
     finally:
         if was:
             gc.enable()
     assert found == 0
+    if "_exit_" in name:  # the call reached the exit path it is named for
+        assert result == int(name.rsplit("_", 1)[1])

@@ -167,16 +167,31 @@ def test_sum_from_columns_matches_partition_reference(route):
             assert SchurSum._from_columns(n, columns[:stop]) == _by_partitions(n, columns[:stop]), (n, stop)
 
 
+def test_columns_at_three_ones_matches_the_sum():
+    # dent --m 3 takes D(n)'s value at three ones from its two columns.
+    # Random columns hold zero and negative entries; the recurrence's
+    # odd columns are zeros cut to length where n - c < 2.
+    rng = random.Random(29)
+    cache = RecurrenceCache()
+    for n in range(61):
+        for stop in (1, 2, n + 1):
+            layer = cache.h3_columns(n, stop)
+            for columns in (layer, [[rng.randint(-3, 3) for _ in column] for column in layer]):
+                want = SchurSum._from_columns(n, columns).eval_at_ones(3)
+                assert SchurSum._columns_at_three_ones(n, columns) == want, (n, stop, columns)
+
+
 def test_sum_from_columns_rejects_a_wrong_layout():
     columns = thrall.h3_columns(4)  # lengths 7, 5, 4, 2, 1
-    with pytest.raises(ValueError, match=r"^6 columns for shapes of 12 cells, at most 5$"):
-        SchurSum._from_columns(4, [*columns, [0]])
-    with pytest.raises(ValueError, match=r"^1 columns for shapes of -3 cells, at most 0$"):
-        SchurSum._from_columns(-1, [[1]])
-    for c, column in enumerate(columns):
-        for wrong in (column[:-1], [*column, 0]):
-            with pytest.raises(ValueError, match=rf"^column {c} of shapes of 12 cells has {len(wrong)} entries"):
-                SchurSum._from_columns(4, [*columns[:c], wrong, *columns[c + 1:]])
+    for read in (SchurSum._from_columns, SchurSum._columns_at_three_ones):
+        with pytest.raises(ValueError, match=r"^6 columns for shapes of 12 cells, at most 5$"):
+            read(4, [*columns, [0]])
+        with pytest.raises(ValueError, match=r"^1 columns for shapes of -3 cells, at most 0$"):
+            read(-1, [[1]])
+        for c, column in enumerate(columns):
+            for wrong in (column[:-1], [*column, 0]):
+                with pytest.raises(ValueError, match=rf"^column {c} of shapes of 12 cells has {len(wrong)} entries"):
+                    read(4, [*columns[:c], wrong, *columns[c + 1:]])
 
 
 def test_routes_columns_agree_through_300():

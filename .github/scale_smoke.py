@@ -9,6 +9,10 @@ otherwise: the peak RSS of this process and that of the largest child it
 has reaped. No command forks today; the children's peak keeps a command
 that starts one from passing on the caller's peak alone. ``ru_maxrss``
 covers a whole process, so give each case its own process.
+
+The bounds assume compiled bytecode: a run that finds no cached bytecode
+compiles the package too, and peaks about 0.5 MB higher. Run
+``python -m compileall -q src`` first.
 """
 
 import contextlib

@@ -12,11 +12,11 @@ command drops, and the collector, which would pass over the fresh tuple
 keys every few hundred allocations, finds nothing. Library functions
 never touch ``gc``.
 
-verify runs in the calling process and forks nothing: its oracle sweep,
-then its direct sweep, which compares the two h3 routes column by column
-(see ``run_verify``). dent --m 3 checks each difference D(n) from its two
-columns of h3[hn] too (see ``_dent_checks``). Both build a sum from
-columns only to list what fails.
+verify runs one sweep over n in the calling process, and compares the
+two h3 routes column by column (see ``run_verify``); dent --m 3 checks
+each difference D(n) from its two columns of h3[hn] (see
+``_dent_checks``). Neither builds an h3 sum from columns but to list
+what fails or, in verify, to compare it with the oracle.
 
 The one object the module keeps between calls is the argparse parser,
 built by the first ``main`` call. It holds no computed value.
@@ -76,9 +76,9 @@ _METHODS = {
     },
 }
 
-# The h3 routes of _METHODS as verify's direct sweep reads them: the n + 1
-# columns of h3[hn] (SchurSum._from_columns), looked up through the
-# attributes that their SchurSum routes call too.
+# The h3 routes of _METHODS as verify reads them: the n + 1 columns of
+# h3[hn] (SchurSum._from_columns), looked up through the attributes that
+# their SchurSum routes call too.
 _H3_COLUMNS = {
     "recurrence": lambda n, cache: cache.h3_columns(n),
     "thrall": lambda n, cache: thrall.h3_columns(n),
@@ -133,8 +133,8 @@ class VerificationReport:
     """Outcome of the cross-method comparison: mismatches, positivity
     failures and each route's summed call time."""
 
-    def __init__(self, oracle_range: tuple[int, int]) -> None:
-        self.oracle_range = oracle_range
+    def __init__(self, oracle_max_n: int) -> None:
+        self.oracle_max_n = oracle_max_n
         self.mismatches: list[tuple] = []
         self.positivity_failures: list[tuple] = []
         self.elapsed_ms: dict[str, float] = {}
@@ -157,10 +157,14 @@ def _record_mismatches(label: str, n: int, values: dict[str, SchurSum], sink: li
             sink.append((label, n, list(lam), coeffs))
 
 
-def _positivity_failures(n: int, total: SchurSum) -> list[tuple]:
-    """The terms of h3[hn] that are negative, in descending order. The sum
-    has at most three rows, as its columns do."""
-    return [("h3 nonnegative, at most 3 rows", n, list(lam), c) for lam, c in total.terms() if c < 0]
+def _negative_terms(total: SchurSum) -> list[tuple]:
+    return [(list(lam), c) for lam, c in total.terms() if c < 0]
+
+
+def _negative_h3_terms(n: int, columns: list[list[int]]) -> list[tuple]:
+    """The negative terms of h3[hn] in ``columns``, its first few columns or
+    all, shapes descending; a sum is built only when ``min`` finds one."""
+    return _negative_terms(SchurSum._from_columns(n, columns)) if min(map(min, columns)) < 0 else []
 
 
 def _timed(elapsed_ms: dict[str, float], key: str, expand, *args, **kwargs):
@@ -170,63 +174,48 @@ def _timed(elapsed_ms: dict[str, float], key: str, expand, *args, **kwargs):
     return total
 
 
-def _direct_sweep(cache: RecurrenceCache, max_n: int, report: VerificationReport) -> None:
-    """Compare each m's direct routes on each n in [0, max_n], ascending,
-    and scan the recurrence's h3 for negative coefficients: add each
-    route's call time in ms to the report, and append its mismatches and
-    positivity failures. The h3 routes are compared as their columns, and
-    a sum is built from columns only to list a mismatch or a failure."""
-    elapsed_ms = report.elapsed_ms
+def _sweep(cache: RecurrenceCache, max_n: int, report: VerificationReport, budget: int | None) -> None:
+    # run_verify's sweep: each route once per n, each comparison at its n.
+    elapsed_ms, hi = report.elapsed_ms, report.oracle_max_n
+    h3_oracle, h2_oracle = [], []  # the oracle's mismatches, listed last
     for n in range(max_n + 1):
         columns = {route: _timed(elapsed_ms, f"h3_{route}", build, n, cache)
                    for route, build in _H3_COLUMNS.items()}
-        first, *rest = columns.values()
-        if any(cols != first for cols in rest):
-            sums = {route: SchurSum._from_columns(n, cols) for route, cols in columns.items()}
-            _record_mismatches(f"h3 {' vs '.join(sums)}", n, sums, report.mismatches)
         h2 = {route: _timed(elapsed_ms, f"h2_{route}", expand, n, cache)
               for route, expand in _METHODS[2].items()}
+        first, *rest = columns.values()
+        if n <= hi or any(cols != first for cols in rest):
+            h3 = {route: SchurSum._from_columns(n, cols) for route, cols in columns.items()}
+            _record_mismatches(f"h3 {' vs '.join(h3)}", n, h3, report.mismatches)
         _record_mismatches(f"h2 {' vs '.join(h2)}", n, h2, report.mismatches)
-        if min(map(min, columns["recurrence"])) < 0:
-            report.positivity_failures += _positivity_failures(
-                n, SchurSum._from_columns(n, columns["recurrence"]))
-
-
-def _oracle_sweep(cache: RecurrenceCache, hi: int, budget: int | None) -> tuple[dict, list]:
-    """Compare the oracle with each m's direct routes on [0, hi]: the
-    oracle's summed call times in ms and the mismatches, by m and then n.
-    The direct routes run untimed, and nothing is kept past its n."""
-    elapsed_ms, mismatches = {}, []
-    for m, routes in _METHODS.items():
-        for n in range(hi + 1):
-            by_route = {route: expand(n, cache) for route, expand in routes.items()}
-            by_route[ORACLE] = _timed(elapsed_ms, f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
-            _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, mismatches)
-    return elapsed_ms, mismatches
+        if n <= hi:
+            for m, by_route, sink in ((3, h3, h3_oracle), (2, h2, h2_oracle)):
+                by_route[ORACLE] = _timed(elapsed_ms, f"h{m}_{ORACLE}", plethysm_oracle, m, n, budget=budget)
+                _record_mismatches(f"h{m} vs {ORACLE}", n, by_route, sink)
+        report.positivity_failures += [("h3 nonnegative, at most 3 rows", n, lam, c)
+                                       for lam, c in _negative_h3_terms(n, columns["recurrence"])]
+    report.mismatches += h3_oracle + h2_oracle
 
 
 def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
-    """Expand h3 and h2 by every route and compare, in two sweeps, both in
-    the calling process.
+    """Expand h3 and h2 by every route and compare, in one sweep over n in
+    [0, max_n], ascending, in the calling process.
 
     The direct routes are refused before anything is built when the bound
     on the terms of h3[h max_n], the larger of the two, is over the budget.
 
-    The oracle sweep (_oracle_sweep) runs first. It compares the oracle
-    with the direct routes' sums, for each m on [0, min(oracle_max_n,
-    max_n)], and drops each n's values before the next: keeping them would
-    hold every h3(n) up to oracle_max_n, O(oracle_max_n^3) terms. So a
-    refusal of the oracle's budget raises before any direct route runs on
-    its own.
-
-    The direct sweep (_direct_sweep) then runs on [0, max_n], n ascending.
-    At each n it compares the recurrence's columns of h3[hn] with
-    Thrall's, and scans the recurrence's for a negative coefficient; a
-    column holds shapes of at most three rows only. It compares the h2
-    routes' sums. It builds no h3 sum unless a comparison or the scan
-    fails, and keeps no n's values past the next n, so it holds the
-    recurrence's layers and the columns of at most two n: O(max_n^2) list
-    slots.
+    At each n the sweep builds the two h3 routes' columns of h3[hn] and
+    the two h2 routes' sums, each once, and compares each pair. On
+    n <= min(oracle_max_n, max_n) it then compares the oracle with h3's
+    routes' sums, and then with h2's. A refusal of the oracle's budget
+    raises there, after the direct routes ran on every n up to that one.
+    It names the (m, n) that the oracle refuses first in any order, since
+    its multiset count and table updates for h3[hn] are at least those
+    for h2[hn]. Last, the sweep scans the recurrence's columns for a
+    negative coefficient; a column holds shapes of at most three rows
+    only. Past the oracle's n it builds an h3 sum only to list what
+    fails, and it keeps no n's values past the next n: O(max_n^2) list
+    slots, the recurrence's layers and the columns of at most two n.
 
     ``elapsed_ms["h{m}_{route}"]`` sums the times of that route's calls:
     for h3, of the calls that build its columns. Its keys and the
@@ -235,13 +224,8 @@ def run_verify(max_n: int, oracle_max_n: int = 8, budget: int | None = DEFAULT_B
     descend.
     """
     _check_terms(3, max_n, budget)
-    ora_hi = min(oracle_max_n, max_n)
-    report = VerificationReport(oracle_range=(0, ora_hi))
-    cache = RecurrenceCache()
-    oracle_ms, oracle_mismatches = _oracle_sweep(cache, ora_hi, budget)
-    _direct_sweep(cache, max_n, report)
-    report.elapsed_ms.update(oracle_ms)
-    report.mismatches += oracle_mismatches
+    report = VerificationReport(min(oracle_max_n, max_n))
+    _sweep(RecurrenceCache(), max_n, report, budget)
     return report
 
 
@@ -249,7 +233,7 @@ def cmd_verify(args) -> int:
     report = run_verify(args.max_n, args.oracle_max_n, args.budget)
     for m, routes in _METHODS.items():
         print(f"h{m}: {' vs '.join(routes)} on n in [0,{args.max_n}], "
-              f"vs {ORACLE} on n in [0,{report.oracle_range[1]}]")
+              f"vs {ORACLE} on n in [0,{report.oracle_max_n}]")
     for name, ms in report.elapsed_ms.items():
         print(f"  {name}: {ms:.1f} ms")
     for label, n, lam, coeffs in report.mismatches:
@@ -279,19 +263,15 @@ def cmd_foulkes(args) -> int:
     return EXIT_OK if positive else EXIT_FAIL
 
 
-def _negative_terms(total: SchurSum) -> list[tuple]:
-    return [(list(lam), c) for lam, c in total.terms() if c < 0]
-
-
 def _dent_checks(m: int, max_n: int):
     """Yield (n, terms, negative terms, value at m ones) of each dent
     difference D(n), 2 <= n <= max_n, as ``dent_differences`` defines it.
 
     For m = 2 they are read from its sums. For m = 3, D(n) is columns 0
     and 1 of h3[hn], read from one RecurrenceCache: the terms are the
-    nonzero entries, and the value is a dot product with Weyl's products
-    (SchurSum._columns_at_three_ones). A sum is built from the columns
-    only to list the negative terms of an n that has them.
+    nonzero entries, the value is a dot product with Weyl's products
+    (SchurSum._columns_at_three_ones), and ``_negative_h3_terms`` lists
+    the negative terms.
     """
     if m == 2:
         for n, diff in dent_differences(m, max_n):
@@ -300,11 +280,8 @@ def _dent_checks(m: int, max_n: int):
     cache = RecurrenceCache()
     for n in range(2, max_n + 1):
         columns = cache.h3_columns(n, 2)
-        bad = []
-        if min(map(min, columns)) < 0:
-            bad = _negative_terms(SchurSum._from_columns(n, columns))
         terms = sum(len(column) - column.count(0) for column in columns)
-        yield n, terms, bad, SchurSum._columns_at_three_ones(n, columns)
+        yield n, terms, _negative_h3_terms(n, columns), SchurSum._columns_at_three_ones(n, columns)
 
 
 def cmd_dent(args) -> int:
@@ -361,8 +338,10 @@ class BenchResult:
 
 def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
               budget: int | None = DEFAULT_BUDGET) -> BenchResult:
-    """Time every h3 route on n >= 1. Each repeat starts cold: it builds its
-    own RecurrenceCache, and the package keeps nothing between calls."""
+    """Time every h3 route on n >= 1, once h3[h max_n]'s bound on the terms
+    passes the budget. Each repeat starts cold: it builds its own
+    RecurrenceCache, and the package keeps nothing between calls."""
+    _check_terms(3, max_n, budget)
     result = BenchResult()
     runs = [(route, expand, max_n) for route, expand in _METHODS[3].items()]
     runs.append((ORACLE, lambda n, cache: plethysm_oracle(3, n, budget=budget),

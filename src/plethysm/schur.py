@@ -207,10 +207,6 @@ class SchurSum:
         """True when every stored coefficient is positive (zero sum included)."""
         return min(self._terms.values(), default=1) > 0
 
-    def max_rows(self) -> int:
-        """The largest number of rows of a shape in the sum; 0 for the zero sum."""
-        return max(map(len, self._terms), default=0)
-
     def eval_at_ones(self, k: int) -> int:
         """Exact value after substituting 1 for each of k variables.
 

@@ -188,7 +188,7 @@ def test_verify_memory_stays_quadratic(monkeypatch):
     assert report.passed
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
-    # The oracle sweep runs first, and refuses at n = 1: nothing may be
+    # The oracle refuses at n = 1, where the sweep raises: nothing may be
     # kept from it, whatever oracle_max_n is. The refusal is injected: a
     # budget that refuses the oracle at n = 1 refuses the direct routes
     # first.
@@ -210,8 +210,8 @@ def test_verify_memory_stays_quadratic(monkeypatch):
 
 
 def test_verify_builds_no_h3_sum_on_a_pass(monkeypatch):
-    # The direct sweep compares the h3 routes' columns: the only h3 sums
-    # built are the oracle sweep's, on n <= oracle_max_n.
+    # The sweep compares the h3 routes' columns: the only h3 sums built
+    # are those compared with the oracle, on n <= oracle_max_n.
     built, from_columns = [], SchurSum._from_columns
 
     def counted(n, columns):
@@ -254,19 +254,47 @@ def test_verify_refuses_direct_routes_before_building(capsys, monkeypatch):
         cli.run_verify(50, 4, budget=1950)
 
 
-def test_verify_oracle_refusal_on_one_cpu_runs_no_direct_route(capsys, monkeypatch):
+def _count_route_calls(monkeypatch):
+    """Patch verify's four direct routes to note each n they are called
+    on; the lists, by route."""
+    calls = {"h3 recurrence": [], "h3 thrall": [], "h2 recurrence": [], "h2 closed": []}
+
+    def noted(route, build, n_at):
+        def call(*args, **kwargs):
+            calls[route].append(args[n_at])
+            return build(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(RecurrenceCache, "h3_columns", noted("h3 recurrence", RecurrenceCache.h3_columns, 1))
+    monkeypatch.setattr(thrall, "h3_columns", noted("h3 thrall", thrall.h3_columns, 0))
+    monkeypatch.setattr(RecurrenceCache, "h2", noted("h2 recurrence", RecurrenceCache.h2, 1))
+    monkeypatch.setattr(cli, "h2_closed", noted("h2 closed", cli.h2_closed, 0))
+    return calls
+
+
+def test_verify_runs_each_route_once_per_n(monkeypatch):
+    # One sweep: the oracle's n are no exception.
+    calls = _count_route_calls(monkeypatch)
+    assert cli.run_verify(12, 5).passed
+    assert calls == {route: list(range(13)) for route in calls}
+
+
+def test_verify_oracle_refusal_stops_the_sweep_at_its_n(capsys, monkeypatch):
+    # The oracle refuses from n = 2 on: the sweep raises at h3[h2], after
+    # every direct route ran on n <= 2, and runs none past it.
     oracle = cli.plethysm_oracle
 
-    def refuse_from_1(m, n, budget):
-        if n:
+    def refuse_from_2(m, n, budget):
+        if n >= 2:
             raise BudgetExceededError(10, 9, f"h{m}[h{n}] in {m} variables")
         return oracle(m, n, budget=budget)
 
-    monkeypatch.setattr(cli, "plethysm_oracle", refuse_from_1)
-    monkeypatch.setattr(cli, "_direct_sweep", None)  # a direct sweep that ran would fail
-    code, out, err = run(capsys, "verify", "--max-n", "100", "--oracle-max-n", "2")
+    monkeypatch.setattr(cli, "plethysm_oracle", refuse_from_2)
+    calls = _count_route_calls(monkeypatch)
+    code, out, err = run(capsys, "verify", "--max-n", "100", "--oracle-max-n", "5")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: h3[h1] in 3 variables needs 10 multisets, budget is 9\n"
+    assert err == "budget exceeded: h3[h2] in 3 variables needs 10 multisets, budget is 9\n"
+    assert calls == {route: [0, 1, 2] for route in calls}
 
 
 def test_dent_memory_stays_quadratic(capsys):
@@ -323,7 +351,10 @@ def test_dent_refuses_before_building(capsys, monkeypatch, m, n, bound):
     args = ["dent", "--m", str(m), "--max-n", str(n)]
     code, out, _ = run(capsys, *args, "--budget", str(bound))
     assert code == 0 and out.startswith("n=2: positive")
-    monkeypatch.setattr(cli, "dent_differences", None)  # a sweep that ran would fail
+    # A sweep that ran would fail: m = 2 reads dent_differences, m = 3 a
+    # RecurrenceCache.
+    monkeypatch.setattr(cli, "dent_differences", None)
+    monkeypatch.setattr(cli, "RecurrenceCache", None)
     code, out, err = run(capsys, *args, "--budget", str(bound - 1))
     assert code == 3 and not out
     assert err == f"budget exceeded: h{m}[h{n}] needs {bound} terms, budget is {bound - 1}\n"
@@ -448,7 +479,7 @@ _EXITS = {
     "2": (["dent", "--m", "3", "--max-n", "1"], 2),
     "3": (["expand", "--m", "3", "--n", "100000"], 3),
     "argparse": (["expand", "--n", "x"], SystemExit),
-    "worker": (["verify", "--max-n", "50", "--oracle-max-n", "0"], ValueError),
+    "raises": (["verify", "--max-n", "50", "--oracle-max-n", "0"], ValueError),
 }
 
 

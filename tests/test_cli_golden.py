@@ -92,8 +92,10 @@ best of 1 repeats, milliseconds
 """,
     ),
     (
-        # The budget refuses the oracle at n = 1: a route never timed totals "-".
-        ["bench", "--max-n", "2", "--repeats", "1", "--oracle-max-n", "5", "--budget", "3"],
+        # The budget passes the direct routes' bound on h3[h2], 7 terms,
+        # and refuses the oracle at n = 1, which needs 10 multisets: a
+        # route never timed totals "-".
+        ["bench", "--max-n", "2", "--repeats", "1", "--oracle-max-n", "5", "--budget", "9"],
         0,
         """\
 best of 1 repeats, milliseconds
@@ -127,9 +129,9 @@ best of 1 repeats, milliseconds
         "",
     ),
     (
-        # The direct routes pass the bound and agree through n = 3, then
-        # the budget refuses the oracle at n = 1: nothing is printed but
-        # the refusal.
+        # The direct routes pass the bound, and the sweep reaches n = 1,
+        # where the budget refuses the oracle: nothing is printed but the
+        # refusal.
         ["verify", "--max-n", "3", "--oracle-max-n", "3", "--budget", "12"],
         3,
         "",
@@ -152,6 +154,13 @@ best of 1 repeats, milliseconds
         # refused on the count of partitions of 3n into at most 3 parts,
         # before anything is built.
         ["expand", "--m", "3", "--n", "100000"],
+        3,
+        "",
+    ),
+    (
+        # bench times h3[h100000] by the direct routes: refused before any
+        # timing, as in expand.
+        ["bench", "--max-n", "100000"],
         3,
         "",
     ),
@@ -194,6 +203,8 @@ STDERR = {
     "expand --m 3 --n 100000":
         "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
     "dent --m 3 --max-n 100000":
+        "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
+    "bench --max-n 100000":
         "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n",
     "expand --m 4 --n 2":
         """\
@@ -246,8 +257,8 @@ def test_cli_golden(capsys, monkeypatch, argv, code, stdout):
 
 # Failing runs of `verify --max-n 8 --oracle-max-n 4`, each route's fault
 # injected by adding a fixed SchurSum to its value at chosen n: for the h3
-# routes, to the columns their column builders return, which both the
-# direct sweep and the routes' sums in the oracle sweep read. The output
+# routes, to the columns their column builders return, which verify
+# compares and builds the sums it compares with the oracle from. The output
 # pins the order of the failure lines: direct-route mismatches by n (h3
 # before h2 at equal n), then oracle mismatches by m and then n, then
 # positivity failures by n; within one n, shapes in descending order.

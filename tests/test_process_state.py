@@ -82,6 +82,7 @@ CALLS = {
     "foulkes_exit_3": _main("foulkes", "--m", "4", "--n", "5", "--budget", "1000"),
     "bench": _main("bench", "--max-n", "12", "--repeats", "2", "--oracle-max-n", "5"),
     "bench_exit_2": _main("bench", "--max-n", "2", "--csv", "/nonexistent/out.csv"),
+    "bench_exit_3": _main("bench", "--max-n", "100000"),
     "h3": lambda: h3(60),
     "h3_thrall": lambda: h3_thrall(60),
     "dent_differences": lambda: [list(dent_differences(m, 30)) for m in (2, 3)],
@@ -91,8 +92,8 @@ CALLS = {
 }
 
 def _bumped_columns(n, columns=thrall.h3_columns):
-    # Thrall's columns of h3[hn] off by s_(3n), to fail both of verify's
-    # sweeps.
+    # Thrall's columns of h3[hn] off by s_(3n), to fail verify's
+    # comparisons with the recurrence and with the oracle.
     columns = columns(n)
     columns[0][0] += 1
     return columns

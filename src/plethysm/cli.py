@@ -12,11 +12,11 @@ command drops, and the collector, which would pass over the fresh tuple
 keys every few hundred allocations, finds nothing. Library functions
 never touch ``gc``.
 
-verify runs one sweep over n in the calling process, and compares the
-two h3 routes column by column (see ``run_verify``); dent --m 3 checks
-each difference D(n) from its two columns of h3[hn] (see
-``_dent_checks``). Neither builds an h3 sum from columns but to list
-what fails or, in verify, to compare it with the oracle.
+The h3 routes give h3[hn] as its columns. expand writes it row by row
+from them (``SchurSum._column_rows``), verify compares the two routes
+column by column in one sweep over n (``run_verify``), and dent --m 3
+checks each D(n) from its two columns (``_dent_checks``). None builds an
+h3 sum but to list what fails or, in verify, to compare with the oracle.
 
 The one object the module keeps between calls is the argparse parser,
 built by the first ``main`` call. It holds no computed value.
@@ -40,7 +40,9 @@ from .oracle import (
 )
 from .recurrence import RecurrenceCache, dent_differences, h2_closed
 from .schur import SchurSum
-from .thrall import h3_thrall
+# h3_thrall is not used here. It stays importable from this module
+# because the per-layer trace in perfbench/spans.py hooks it by this name.
+from .thrall import h3_thrall  # noqa: F401
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,25 +65,18 @@ def _now_ms() -> float:
 ORACLE = "oracle"
 
 # Each m's direct routes, m -> route -> callable(n, cache), that expand,
-# verify and bench iterate over. The brute-force oracle is every m's one
-# reference, called on its own as plethysm_oracle(m, n, budget=...).
+# verify and bench iterate over; h3's give the columns of h3[hn]. The
+# brute-force oracle is every m's one reference, called on its own as
+# plethysm_oracle(m, n, budget=...).
 _METHODS = {
     3: {
-        "recurrence": lambda n, cache: cache.h3(n),
-        "thrall": lambda n, cache: h3_thrall(n),
+        "recurrence": lambda n, cache: cache.h3_columns(n),
+        "thrall": lambda n, cache: thrall.h3_columns(n),
     },
     2: {
         "recurrence": lambda n, cache: cache.h2(n),
         "closed": lambda n, cache: h2_closed(n),
     },
-}
-
-# The h3 routes of _METHODS as verify reads them: the n + 1 columns of
-# h3[hn] (SchurSum._from_columns), looked up through the attributes that
-# their SchurSum routes call too.
-_H3_COLUMNS = {
-    "recurrence": lambda n, cache: cache.h3_columns(n),
-    "thrall": lambda n, cache: thrall.h3_columns(n),
 }
 
 
@@ -116,13 +111,16 @@ def cmd_expand(args) -> int:
         print(f"error: method {args.method!r} is not valid for m={args.m} (use one of: {valid})",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        # dumps of the header with the terms spliced in, printed in pieces
-        # so that the terms text is not copied.
-        head = dumps({"m": args.m, "n": args.n, "method": args.method})
-        print(head[:-1], ',"terms":', total.json_terms_text(), "}", sep="")
+    # h3's columns are each checked before the first byte is written.
+    as_json, write = args.format == "json", sys.stdout.write
+    rows = None if isinstance(total, SchurSum) else SchurSum._column_rows(args.n, total)
+    if as_json:  # dumps of the header, with the terms spliced in
+        write(dumps({"m": args.m, "n": args.n, "method": args.method})[:-1] + ',"terms":')
+    if rows is None:
+        write(total.json_terms_text() if as_json else str(total))
     else:
-        print(str(total))
+        SchurSum._render(rows, as_json, write)
+    write("}\n" if as_json else "\n")
     return EXIT_OK
 
 
@@ -180,7 +178,7 @@ def _sweep(cache: RecurrenceCache, max_n: int, report: VerificationReport, budge
     h3_oracle, h2_oracle = [], []  # the oracle's mismatches, listed last
     for n in range(max_n + 1):
         columns = {route: _timed(elapsed_ms, f"h3_{route}", build, n, cache)
-                   for route, build in _H3_COLUMNS.items()}
+                   for route, build in _METHODS[3].items()}
         h2 = {route: _timed(elapsed_ms, f"h2_{route}", expand, n, cache)
               for route, expand in _METHODS[2].items()}
         first, *rest = columns.values()
@@ -339,7 +337,8 @@ class BenchResult:
 def run_bench(max_n: int, repeats: int = 3, oracle_max_n: int = 8,
               budget: int | None = DEFAULT_BUDGET) -> BenchResult:
     """Time every h3 route on n >= 1, once h3[h max_n]'s bound on the terms
-    passes the budget. Each repeat starts cold: it builds its own
+    passes the budget: the direct routes' builds of the columns of h3[hn],
+    and the oracle's sum. Each repeat starts cold: it builds its own
     RecurrenceCache, and the package keeps nothing between calls."""
     _check_terms(3, max_n, budget)
     result = BenchResult()
@@ -365,6 +364,7 @@ def _cell(ms: float | None) -> str:
 
 
 def cmd_bench(args) -> int:
+    _check_terms(3, args.max_n, args.budget)  # before opening the file empties it
     try:  # before any timing: a path that cannot be written is a usage error
         csv = open(args.csv, "w", encoding="utf-8") if args.csv else None
     except OSError as exc:

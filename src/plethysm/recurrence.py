@@ -42,10 +42,10 @@ for even c, shifted by (c, c, c), and T(n - c - 2) for odd c, shifted by
 and the second is three leading zeros. So column c is T(n - c) as it
 stands for even c, and T(n - c - 2) after three zeros for odd c, cut to
 length when n - c < 2, where that layer is empty: O(n) Python-level steps
-and no keys for all n + 1. h3_columns hands them out; h3 and h3_two_row
-(column 0) build their sums from them, in time and memory proportional to
-their size: O(n^2) for a cold h3[hn]. h2[hn] is built afresh on every
-call, in O(n).
+and no keys for all n + 1. h3_columns hands them out (expand writes its
+rows from them); h3 and h3_two_row (column 0) build their sums from them,
+in time and memory proportional to their size: O(n^2) for a cold h3[hn].
+h2[hn] is built afresh on every call, in O(n).
 
 The module keeps no cache of its own: the module-level h3_two_row and h3
 fill a fresh one that is dropped on return, so a loop over n that should

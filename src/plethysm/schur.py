@@ -14,12 +14,14 @@ validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
 ``from_json_terms``, and only ``terms()`` and ``support()`` hand it out.
 
 Every output lists the terms in descending lex order on the keys, the
-list that ``_sorted_keys`` returns. ``str()`` and ``json_terms_text()``
-render it with one ``%``: a format string that gives each term a piece
-for its coefficient and one for its row count, such as ``" - 2*"`` and
+list that ``_sorted_keys`` returns. ``_render`` writes them one row at a
+time with one ``%``: a format string that gives each term a piece for its
+coefficient and one for its row count, such as ``" - 2*"`` and
 ``"s[%d,%d]"``, each built once per distinct value, filled in with the
-parts of every key at once. ``terms()`` and ``json_terms()`` hand out the
-same terms as data.
+parts of every key of the row. ``str()`` and ``json_terms_text()`` pass
+the sorted keys as one row, ``expand --m 3`` the rows of h3's columns
+(``_column_rows``) unsorted. ``terms()`` and ``json_terms()`` hand out
+the same terms as data.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress, repeat
 from math import prod
-from operator import add, and_, mul
+from operator import add, and_, getitem, mul
 
 from .partition import Partition
 
@@ -66,19 +68,19 @@ class SchurSum:
 
     @staticmethod
     def _checked_columns(n: int, columns: list[list[int]]):
-        # Yields (c, column) for columns 0, ..., len(columns) - 1 of shapes
-        # of 3n cells in at most three rows, after checking their count and
-        # each one's length: column c lists the coefficients of
-        # s_(3n-b-c, b, c) for c <= b <= (3n-c)//2, zeros included,
-        # 3(n-c)//2 + 1 of them. There are at most n + 1 columns, and none
-        # for negative n, which gives the zero sum.
+        # enumerate(columns), once the count and every length of these
+        # columns of shapes of 3n cells in at most three rows are checked:
+        # column c lists the coefficients of s_(3n-b-c, b, c) for
+        # c <= b <= (3n-c)//2, zeros included, 3(n-c)//2 + 1 of them. There
+        # are at most n + 1 columns, and none for negative n, which gives the
+        # zero sum.
         if len(columns) > max(n + 1, 0):
             raise ValueError(f"{len(columns)} columns for shapes of {3 * n} cells, at most {max(n + 1, 0)}")
         for c, column in enumerate(columns):
             size = 3 * (n - c) // 2 + 1
             if len(column) != size:
                 raise ValueError(f"column {c} of shapes of {3 * n} cells has {len(column)} entries, not {size}")
-            yield c, column
+        return enumerate(columns)
 
     @classmethod
     def _from_columns(cls, n: int, columns: list[list[int]]) -> "SchurSum":
@@ -98,6 +100,24 @@ class SchurSum:
         if columns and columns[0][0]:
             terms[(w,) if w else ()] = columns[0][0]
         return cls._wrap(terms)
+
+    @staticmethod
+    def _column_rows(n: int, columns: list[list[int]]):
+        # _render's rows of _from_columns(n, columns), once every column is
+        # checked: row a = 3n, ..., n holds the terms with first part a, in
+        # which b descends as c ascends, so it is entry 3n - a - 2c of column
+        # c for c from max(0, 3n - 2a) to min((3n - a) // 2, len(columns) - 1).
+        SchurSum._checked_columns(n, columns)
+        return map(SchurSum._column_row, repeat(3 * n), repeat(columns), range(3 * n, n - 1, -1))
+
+    @staticmethod
+    def _column_row(w: int, columns: list[list[int]], a: int):
+        lo, hi = max(0, w - 2 * a), min((w - a) // 2, len(columns) - 1)
+        coefficients = list(map(getitem, columns[lo:hi + 1], range(w - a - 2 * lo, w - a - 2 * hi - 1, -2)))
+        keys = list(compress(zip(repeat(a), range(w - a - lo, w - a - hi - 1, -1), range(lo, hi + 1)), coefficients))
+        if not lo and any(coefficients[:1]):  # the key at c = 0 drops its zero parts
+            keys[0] = tuple(filter(None, keys[0]))
+        return keys, list(filter(None, coefficients))
 
     @staticmethod
     def _columns_at_three_ones(n: int, columns: list[list[int]]) -> int:
@@ -241,7 +261,7 @@ class SchurSum:
         """Terms in the wire format, as data: [{"lambda": [...], "coeff": n}, ...].
 
         ``json_terms_text()`` gives the same list as JSON text, without
-        building the dicts; ``expand --format json`` prints that.
+        building the dicts; ``expand --format json`` prints those bytes.
         """
         terms = self._terms
         return [{"lambda": list(lam), "coeff": terms[lam]} for lam in self._sorted_keys()]
@@ -250,53 +270,58 @@ class SchurSum:
     def from_json_terms(cls, items: Iterable[Mapping]) -> "SchurSum":
         return cls((tuple(item["lambda"]), item["coeff"]) for item in items)
 
-    def _render(self, as_json: bool) -> str:
-        # The terms in the order of _sorted_keys, by one % over one format
-        # string. Term by term, the string takes a lead and a trail piece,
-        # one of them kept per distinct coefficient and the other per
-        # distinct row count, and % fills in the parts of every key. Each
-        # term starts with its separator, which the first term drops.
-        terms = self._terms
-        keys = self._sorted_keys()
+    @staticmethod
+    def _render(rows, as_json: bool, write) -> None:
+        # Writes ``rows``, (keys, coefficients) lists of nonzero terms in the
+        # order of _sorted_keys, which it may change, with one % per row. Term
+        # by term, the format string takes a lead and a trail piece, one kept
+        # per distinct coefficient and the other per distinct row count. Each
+        # term starts with its separator, which the first term written drops.
         if as_json:
             # ,{"lambda":[a,b then ],"coeff":c}, and the list closes.
-            tail = "]"
-            lead = {r: ',{"lambda":[' + ",".join(("%d",) * r) for r in set(map(len, keys))}
-            trail = {c: '],"coeff":%d}' % c for c in set(terms.values())}
-            leads, trails = map(len, keys), map(terms.__getitem__, keys)
+            coeff_at, coeff_piece = 1, lambda c: '],"coeff":%d}' % c
+            rows_piece = lambda r: ',{"lambda":[' + ",".join(("%d",) * r)
         else:
             # " + " or " - ", then "c*" unless c is 1, then s[a,b]. The
             # constant term, which sorts last, is its magnitude alone.
+            coeff_at, coeff_piece = 0, lambda c: (" + " if c > 0 else " - ") + ("%d*" % abs(c) if abs(c) != 1 else "")
+            rows_piece = lambda r: "s[%s]" % ",".join(("%d",) * r)
+        by_coeff, by_rows, first = {}, {}, True
+        for keys, coefficients in rows:
+            if not keys:
+                continue
             tail = ""
-            if not keys[-1]:
-                c = terms[keys.pop()]
+            if not (as_json or keys[-1]):
+                keys.pop()
+                c = coefficients.pop()
                 tail = " %s %d" % ("+" if c > 0 else "-", abs(c))
-            lead = {c: (" + " if c > 0 else " - ") + ("%d*" % abs(c) if abs(c) != 1 else "")
-                    for c in set(terms.values())}
-            trail = {r: "s[%s]" % ",".join(("%d",) * r) for r in set(map(len, keys))}
-            leads, trails = map(terms.__getitem__, keys), map(len, keys)
-        # Interleaved by slice assignment, which measured faster than
-        # chaining zipped pairs.
-        pieces = [""] * (2 * len(keys))
-        pieces[0::2] = map(lead.__getitem__, leads)
-        pieces[1::2] = map(trail.__getitem__, trails)
-        pieces.append(tail)
-        # The JSON list opens in place of the first comma; text keeps only
-        # the first term's minus sign.
-        first = pieces[0]
-        if as_json:
-            pieces[0] = "[" + first[1:]
-        else:
-            pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-        return "".join(pieces) % tuple(chain.from_iterable(keys))
+            by_coeff.update((c, coeff_piece(c)) for c in set(coefficients).difference(by_coeff))
+            by_rows.update((r, rows_piece(r)) for r in set(map(len, keys)).difference(by_rows))
+            # Interleaved by slice assignment, which measured faster than
+            # chaining zipped pairs.
+            pieces = [""] * (2 * len(keys))
+            pieces[coeff_at::2] = map(by_coeff.__getitem__, coefficients)
+            pieces[1 - coeff_at::2] = map(by_rows.__getitem__, map(len, keys))
+            pieces.append(tail)
+            if first:  # JSON opens its list at the first comma; text keeps a minus
+                head, first = pieces[0], False
+                pieces[0] = "[" + head[1:] if as_json else head[3:] if head[1] == "+" else "-" + head[3:]
+            write("".join(pieces) % tuple(chain.from_iterable(keys)))
+        # No term at all is the zero sum; JSON closes its list.
+        write(("[]" if as_json else "0") if first else "]" if as_json else "")
+
+    def _rendered(self, as_json: bool) -> str:
+        keys, out = self._sorted_keys(), []  # every term, as one row
+        SchurSum._render([(keys, list(map(self._terms.__getitem__, keys)))], as_json, out.append)
+        return "".join(out)
 
     def json_terms_text(self) -> str:
         """``json_terms()`` as compact JSON text: the bytes of
         ``json.dumps(self.json_terms(), separators=(",", ":"))``."""
-        return self._render(True) if self._terms else "[]"
+        return self._rendered(True)
 
     def __str__(self) -> str:
-        return self._render(False) if self._terms else "0"
+        return self._rendered(False)
 
     def __repr__(self) -> str:
         return f"<SchurSum {self}>"

@@ -1,14 +1,15 @@
-"""Every sum a route builds is keyed by canonical partitions.
+"""Every sum a route builds, and every row ``expand`` writes from h3's
+columns, is keyed by canonical partitions.
 
-Inside a ``SchurSum`` the keys are plain tuples built by the routes
-themselves, where ``+`` would concatenate instead of adding, so nothing but
+Inside a ``SchurSum`` and a row the keys are plain tuples built by the
+package itself, where ``+`` would concatenate instead of adding, so nothing but
 these tests checks that they are partitions: weakly decreasing, positive,
 no zeros.
 """
 
 import pytest
 
-from plethysm import Partition, RecurrenceCache, dent_differences, plethysm_oracle
+from plethysm import Partition, RecurrenceCache, SchurSum, dent_differences, plethysm_oracle
 from plethysm.cli import ORACLE, _METHODS
 
 MAX_N = 30
@@ -35,7 +36,12 @@ def test_route_keys_are_canonical(m, route):
         return
     cache = RecurrenceCache()
     for n in (*range(MAX_N + 1), *LARGE_N):
-        assert_canonical(_METHODS[m][route](n, cache))
+        value = _METHODS[m][route](n, cache)
+        if m == 3:  # columns, read as a sum and as the rows expand writes
+            for keys, _ in SchurSum._column_rows(n, value):
+                assert all(tuple(Partition(lam)) == lam for lam in keys), keys
+            value = SchurSum._from_columns(n, value)
+        assert_canonical(value)
 
 
 @pytest.mark.parametrize("m", [2, 3])

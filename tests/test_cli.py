@@ -106,18 +106,88 @@ def _expand_cases():
                     (2, "recurrence", 1000), (2, "recurrence", 1800)]
 
 
+def _expanded_sum(m, method, n):
+    # The sum expand prints: h3's direct routes give its columns.
+    if method == cli.ORACLE:
+        return cli.plethysm_oracle(m, n)
+    value = cli._METHODS[m][method](n, RecurrenceCache())
+    return SchurSum._from_columns(n, value) if m == 3 else value
+
+
 @pytest.mark.parametrize("m, method, n", _expand_cases())
 def test_expand_json_is_dumps_of_json_terms(capsys, m, method, n):
     # The terms are spliced into the header as text; the bytes must be
     # those of dumping the whole document.
-    if method == cli.ORACLE:
-        total = cli.plethysm_oracle(m, n)
-    else:
-        total = cli._METHODS[m][method](n, RecurrenceCache())
+    total = _expanded_sum(m, method, n)
     code, out, err = run(capsys, "expand", "--m", str(m), "--n", str(n),
                          "--method", method, "--format", "json")
     assert (code, err) == (0, "")
     assert out == cli.dumps({"m": m, "n": n, "method": method, "terms": total.json_terms()}) + "\n"
+
+
+@pytest.mark.parametrize("m, method, n", _expand_cases() + [
+    (3, "thrall", 100), (3, "thrall", 160), (3, "recurrence", 400), (3, "thrall", 400)])
+def test_expand_text_is_str_of_the_sum(capsys, m, method, n):
+    # expand --m 3 writes h3's columns row by row; the bytes must be those
+    # of the sum's str().
+    total = _expanded_sum(m, method, n)
+    code, out, err = run(capsys, "expand", "--m", str(m), "--n", str(n), "--method", method)
+    assert (code, err) == (0, "")
+    assert out == str(total) + "\n"
+
+
+def _faulted_columns():
+    # Columns of h3[hn] by n, as no correct route gives them: T(9) with
+    # its entry at b = 0 raised by 7, which reaches h3[h9], h3[h11] and,
+    # through T(13), h3[h13]; negative entries, the first term's among
+    # them; no term at all; and the constant alone, negative.
+    cache = RecurrenceCache()
+    cache._layer(9)[0] += 7
+    faulted = {n: cache.h3_columns(n) for n in range(9, 14)}
+    faulted[5] = thrall.h3_columns(5)
+    faulted[5][0][0], faulted[5][2][1] = -1, -3
+    faulted[3] = [[0] * len(column) for column in thrall.h3_columns(3)]
+    faulted[0] = [[-1]]
+    return faulted
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_rows_of_faulted_columns_match_their_sum(capsys, monkeypatch, fmt):
+    faulted = _faulted_columns()
+    monkeypatch.setattr(RecurrenceCache, "h3_columns", lambda self, n, stop=None: faulted[n])
+    for n, columns in faulted.items():
+        total = SchurSum._from_columns(n, columns)
+        code, out, err = run(capsys, "expand", "--m", "3", "--n", str(n), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert out == cli.dumps({"m": 3, "n": n, "method": "recurrence", "terms": total.json_terms()}) + "\n"
+        else:
+            assert out == str(total) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_short_column_writes_nothing(capsys, monkeypatch, fmt):
+    # Every column is checked before the first byte, the JSON header's
+    # included, is written.
+    columns = thrall.h3_columns
+    monkeypatch.setattr(thrall, "h3_columns", lambda n: [*columns(n)[:-1], []])
+    with pytest.raises(ValueError, match=r"^column 6 of shapes of 18 cells has 0 entries, not 1$"):
+        main(["expand", "--m", "3", "--n", "6", "--method", "thrall", "--format", fmt])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("method", ["recurrence", "thrall"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_m3_builds_no_sum_and_sorts_no_keys(capsys, monkeypatch, method, fmt):
+    argv = ["expand", "--m", "3", "--n", "40", "--method", method, "--format", fmt]
+    expected = run(capsys, *argv)
+
+    def refused(*args):
+        raise AssertionError("expand --m 3 built or sorted a sum")
+
+    monkeypatch.setattr(SchurSum, "_from_columns", refused)
+    monkeypatch.setattr(SchurSum, "_sorted_keys", refused)
+    assert run(capsys, *argv) == expected
 
 
 def test_verify_passes(capsys):
@@ -402,6 +472,17 @@ def test_bench_table_and_csv(capsys, tmp_path):
         (str(n), method) for n in (1, 2, 3) for method in ("recurrence", "thrall")
     } | {(str(n), "oracle") for n in (1, 2)}
     assert all(float(r[2]) >= 0 for r in rows)
+
+
+def test_bench_refused_leaves_the_csv_as_it_was(capsys, tmp_path):
+    # The budget is checked before the file is opened, which would empty
+    # it; over budget comes before a path that cannot be written.
+    target = tmp_path / "old.csv"
+    target.write_text("n,method,millis\n1,recurrence,0.010\n")
+    refusal = "budget exceeded: h3[h100000] needs 7500150001 terms, budget is 50000000\n"
+    for path in (target, tmp_path / "missing" / "out.csv"):
+        assert run(capsys, "bench", "--max-n", "100000", "--csv", str(path)) == (3, "", refusal)
+    assert target.read_text() == "n,method,millis\n1,recurrence,0.010\n"
 
 
 def test_bench_csv_path_that_cannot_be_opened(capsys, tmp_path, monkeypatch):

@@ -61,6 +61,8 @@ def _main(*argv):
 # commands make.
 CALLS = {
     "expand_recurrence": _main("expand", "--m", "3", "--n", "30"),
+    "expand_recurrence_json": _main("expand", "--m", "3", "--n", "30", "--format", "json"),
+    "expand_thrall": _main("expand", "--m", "3", "--n", "30", "--method", "thrall"),
     "expand_thrall_json": _main("expand", "--m", "3", "--n", "30", "--method", "thrall", "--format", "json"),
     "expand_closed": _main("expand", "--m", "2", "--n", "30", "--method", "closed"),
     "expand_oracle": _main("expand", "--m", "3", "--n", "6", "--method", "oracle"),

@@ -183,7 +183,7 @@ def test_columns_at_three_ones_matches_the_sum():
 
 def test_sum_from_columns_rejects_a_wrong_layout():
     columns = thrall.h3_columns(4)  # lengths 7, 5, 4, 2, 1
-    for read in (SchurSum._from_columns, SchurSum._columns_at_three_ones):
+    for read in (SchurSum._from_columns, SchurSum._columns_at_three_ones, SchurSum._column_rows):
         with pytest.raises(ValueError, match=r"^6 columns for shapes of 12 cells, at most 5$"):
             read(4, [*columns, [0]])
         with pytest.raises(ValueError, match=r"^1 columns for shapes of -3 cells, at most 0$"):

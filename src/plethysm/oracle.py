@@ -4,19 +4,26 @@ Expands h_m[h_n] as an honest polynomial in k variables: every multiset
 of m monomials of degree n contributes the product monomial once. That is
 h_m evaluated at the degree-n monomials, so the coefficients are those of
 t^m in prod_u 1/(1 - t x^u) over the monomials x^u, which a table with one
-layer per multiset size counts without visiting any multiset. The
-conversion to the Schur basis first checks, term by term, that the
-polynomial is symmetric, and then reads only its dominant (weakly
-decreasing) exponent vectors. There the Schur-to-monomial transition is
-the Kostka matrix, which is unitriangular in descending lex order:
-K(lam, lam) = 1 and K(lam, mu) = 0 unless lam dominates mu. So each
-coefficient is peeled off in that order, subtracting c * K(lam, mu) at
-every later weight mu, with K counted by the horizontal-strip
-(Gelfand-Tsetlin) branching rule. A strip list depends on the content only
-through its last part and its length, which bounds the rows the strip may
-leave, so every content that shares those two shares it. The expansion
-must then evaluate at k ones, by Weyl's dimension formula, to the
-polynomial's coefficient sum.
+layer per multiset size counts without visiting any multiset. The table
+keys each exponent vector by one packed integer (base m*n + 1), and the
+conversion to the Schur basis works on those codes as they are: no
+exponent tuple is built unless someone reads ``MonomialPoly.terms``.
+It first checks that the polynomial is symmetric, as invariance of every
+coefficient under two permutations of the variables that generate S_k,
+the swap of x1 and x2 and the cycle x_i -> x_(i+1), each a few C-level
+maps over the codes. Then it reads only the dominant (weakly decreasing)
+exponent vectors, by packing each partition of each degree present.
+There the Schur-to-monomial transition is the Kostka matrix, which is
+unitriangular in descending lex order: K(lam, lam) = 1 and K(lam, mu) = 0
+unless lam dominates mu. So each coefficient is peeled off in that
+order, subtracting c * K(lam, mu) at every later weight mu. A content of
+one or two letters has its Kostka number in closed form; longer ones are
+counted by the horizontal-strip (Gelfand-Tsetlin) branching rule down to
+two letters. A strip list depends on the content only through its last
+part and its length, which bounds the rows the strip may leave, so every
+content that shares those two shares it. The expansion must then
+evaluate at k ones, by Weyl's dimension formula, to the polynomial's
+coefficient sum.
 
 Everything here is deliberately independent of the closed formula and the
 recurrence modules, so agreement between the three is meaningful. Nothing
@@ -26,9 +33,9 @@ one conversion.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from itertools import combinations_with_replacement, repeat
+from math import comb
+from operator import add, floordiv, mod, mul, sub
 
 from .partition import Partition, partitions_of
 from .schur import SchurSum
@@ -52,34 +59,59 @@ class BudgetExceededError(RuntimeError):
 class MonomialPoly:
     """Sparse polynomial in k variables with exact integer coefficients.
 
-    Terms map dense exponent tuples of length k to nonzero coefficients,
-    each a plain ``int`` (ValueError otherwise; ``bool`` is refused too).
-    Exponents are checked where they are read, by ``monomial_to_schur``.
+    Built from a dict that maps dense exponent tuples of length k to
+    coefficients, each a plain ``int`` (ValueError otherwise; ``bool`` is
+    refused too), whose exponents must be nonnegative ints (ValueError
+    otherwise). Zero coefficients are dropped. The terms are stored
+    packed: the exponent vector e as the integer sum_i e[i] * base**i,
+    with base one more than the top degree, so that every exponent, and
+    every part of a partition of a degree present, is one digit.
+    ``terms`` unpacks them into a fresh dict on every read.
     Treated as immutable by every function in this module.
     """
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k", "_base", "_codes", "_degrees")
 
     def __init__(self, k: int, terms: dict[tuple[int, ...], int]) -> None:
         if k < 1:
             raise ValueError("k must be positive")
-        # One C-level pass over the types: a per-term isinstance loop would
-        # cost the oracle several times as much.
         kinds = set(map(type, terms.values()))
         if not kinds <= {int}:
             raise ValueError(f"coefficients must be int, not {sorted(t.__name__ for t in kinds - {int})}")
-        self.k = k
-        self.terms = {e: c for e, c in terms.items() if c}
-        for e in self.terms:
+        terms = {e: c for e, c in terms.items() if c}
+        for e in terms:
             if len(e) != k:
                 raise ValueError(f"exponent vector {e} does not have length {k}")
+            if not set(map(type, e)) <= {int} or min(e) < 0:
+                raise ValueError(f"exponents must be nonnegative ints: {e}")
+        self.k = k
+        self._degrees = set(map(sum, terms))
+        self._base = max(self._degrees, default=0) + 1
+        self._codes = dict(zip(map(_pack, terms, repeat(self._base)), terms.values()))
+
+    @classmethod
+    def _packed(cls, k: int, base: int, codes: dict[int, int], degrees: set[int]) -> "MonomialPoly":
+        # A polynomial straight from codes in base ``base``, unchecked: the
+        # caller vouches that every coefficient is a nonzero int and that
+        # every degree, listed in ``degrees``, is below the base.
+        poly = object.__new__(cls)
+        poly.k, poly._base, poly._codes, poly._degrees = k, base, codes, degrees
+        return poly
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """Exponent tuples to coefficients, unpacked afresh on each read."""
+        return dict(zip(_unpack(self._codes, self.k, self._base), self._codes.values()))
 
     def coeff(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != self.k or not all(0 <= e < self._base for e in exps):
+            return 0
+        return self._codes.get(_pack(exps, self._base), 0)
 
     def total(self) -> int:
         """Sum of all coefficients, i.e. the value at all-ones."""
-        return sum(self.terms.values())
+        return sum(self._codes.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialPoly):
@@ -87,7 +119,19 @@ class MonomialPoly:
         return self.k == other.k and self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"<MonomialPoly k={self.k} with {len(self.terms)} terms>"
+        return f"<MonomialPoly k={self.k} with {len(self._codes)} terms>"
+
+
+def _pack(exps, base: int) -> int:
+    # The code of an exponent vector, or of a partition, whose parts are
+    # all below the base.
+    return sum(map(mul, exps, map(pow, repeat(base), range(len(exps)))))
+
+
+def _unpack(codes, k: int, base: int):
+    # The exponent tuples of packed codes, in their order: digit i of every
+    # code by two C-level maps, and the digits zipped into tuples.
+    return zip(*[list(map(mod, map(floordiv, codes, repeat(base**i)), repeat(base))) for i in range(k)])
 
 
 def _check_degree(degree: int, k: int) -> None:
@@ -125,9 +169,9 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     may repeat. That is M * sum_j |layers[j - 1]| dict updates, with
     M = C(n + k - 1, k - 1) monomials. Exponent vectors are packed into
     single integers (base m*n + 1, which no accumulated exponent can
-    reach), so a shift is plain integer addition; keys are unpacked at the
-    end. The coefficients of layers[m] must add up to the multiset count;
-    AssertionError otherwise.
+    reach), so a shift is plain integer addition, and the result keeps
+    those codes. The coefficients of layers[m] must add up to the
+    multiset count; AssertionError otherwise.
 
     Raises BudgetExceededError up front, before any monomial is built,
     when either of two bounds on that work exceeds the budget, checked in
@@ -161,7 +205,7 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     base = m * n + 1
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m)]
     for vec in monomials_of_degree(n, k):
-        u = sum(e * base**i for i, e in enumerate(vec))
+        u = _pack(vec, base)
         for below, layer in zip(layers, layers[1:]):
             get = layer.get
             for key, c in below.items():
@@ -173,14 +217,7 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
     if total != count:
         raise AssertionError(f"{what}: table counts {total} multisets, expected {count}")
 
-    terms: dict[tuple[int, ...], int] = {}
-    for code, c in accum.items():
-        exps = []
-        for _ in range(k):
-            code, e = divmod(code, base)
-            exps.append(e)
-        terms[tuple(exps)] = c
-    return MonomialPoly(k, terms)
+    return MonomialPoly._packed(k, base, accum, {m * n})
 
 
 def _ssyt_exponents(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
@@ -233,22 +270,31 @@ def schur_poly(lam, k: int) -> MonomialPoly:
 
 
 def _kostka(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
-    # Number of SSYT of shape lam and content mu, by the branching rule:
-    # the cells holding the largest entry len(mu) form a horizontal strip
-    # lam/nu of size mu[-1], and the rest is an SSYT of shape nu and
-    # content mu[:-1]. The strips depend on mu only through its last part
-    # and its length, so every content that shares those shares one strip
-    # list, kept in the same memo under a three-part key (lam, size, rows),
-    # which no two-part count key (lam, mu) can equal.
-    key = (lam, mu)
-    if key in memo:
-        return memo[key]
-    if mu:
+    # Number of SSYT of shape lam and partition content mu. One letter
+    # fills one row: K(lam, (a,)) = [lam == (a,)], and K(lam, ()) = [lam == ()].
+    # Two letters fit when the 1s fill a first row at least a long and the
+    # 2s the rest, a horizontal strip: K(lam, (a, b)) = [len(lam) <= 2 and
+    # lam_2 <= b]. Longer contents go by the branching rule: the cells
+    # holding the largest entry len(mu) form a horizontal strip lam/nu of
+    # size mu[-1], and the rest is an SSYT of shape nu and content mu[:-1].
+    # This count is not stored, since the peel asks for each of its pairs
+    # once; _counted stores the longer counts below it.
+    if len(mu) > 2:
         rest = mu[:-1]
-        count = sum(_kostka(nu, rest, memo) for nu in _strips(lam, mu[-1], len(rest), memo))
-    else:
-        count = 1  # lam has the weight of mu, so it is empty too
-    memo[key] = count
+        count = _counted if len(rest) > 2 else _kostka
+        return sum(map(count, _strips(lam, mu[-1], len(rest), memo), repeat(rest), repeat(memo)))
+    if len(mu) == 2:
+        return int(len(lam) < 2 or len(lam) == 2 and lam[1] <= mu[1])
+    return int(lam == mu)
+
+
+def _counted(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
+    # _kostka for a content of three letters or more, memoized under the
+    # two-part key (lam, mu), which no three-part strip key can equal.
+    key = (lam, mu)
+    count = memo.get(key)
+    if count is None:
+        count = memo[key] = _kostka(lam, mu, memo)
     return count
 
 
@@ -285,47 +331,39 @@ def _strips(lam: tuple[int, ...], size: int, rows: int, memo: dict) -> list[tupl
     return out
 
 
-def _check_symmetric(poly: MonomialPoly) -> dict[tuple[int, ...], int]:
-    # Coefficients at the dominant (weakly decreasing) exponent vectors,
-    # keyed by canonical tuple (zeros dropped), after checking every term:
-    # each exponent vector must carry the coefficient of its sorted
-    # rearrangement, and each orbit must hold all k!/prod(mult!) of its
-    # rearrangements. Exponents must be nonnegative ints: those that cannot
-    # be compared fail the sort, the rest are checked once per orbit on its
-    # sorted lead, types first, then its last entry, which is its least.
-    terms = poly.terms
-    orbits: dict[tuple[int, ...], int] = {}
-    for exps, c in terms.items():
-        try:
-            lead = tuple(sorted(exps, reverse=True))
-        except TypeError:
-            raise ValueError(f"exponents must be nonnegative ints: {exps}") from None
-        if terms.get(lead, 0) != c:
-            raise ValueError(
-                f"not symmetric: {exps} has coefficient {c}, {lead} has {terms.get(lead, 0)}"
-            )
-        orbits[lead] = orbits.get(lead, 0) + 1
-    k = poly.k
-    dominant: dict[tuple[int, ...], int] = {}
-    for lead, count in orbits.items():
-        if not set(map(type, lead)) <= {int} or lead[-1] < 0:
-            raise ValueError(f"exponents must be nonnegative ints: {lead}")
-        full = factorial(k) // prod(map(factorial, Counter(lead).values()))
-        if count != full:
-            raise ValueError(
-                f"not symmetric: {count} of the {full} rearrangements of {lead} are present"
-            )
-        dominant[lead[:k - lead.count(0)]] = terms[lead]
-    return dominant
+def _check_symmetric(poly: MonomialPoly) -> None:
+    # Every code's coefficient must be that of its image under the swap of
+    # x1 and x2 and under the cycle x_i -> x_(i+1), which generate S_k, so
+    # the coefficients are then constant on every orbit. Images of the
+    # support that carry its coefficients, all nonzero, lie in it and are
+    # as many, so no orbit is left incomplete either. Each image is a few
+    # C-level maps over the codes: the swap adds (e1 - e2) * (base - 1),
+    # and the cycle moves the last digit to the front.
+    k, base, terms = poly.k, poly._base, poly._codes
+    if k < 2:
+        return
+    codes, coefficients = list(terms), list(terms.values())
+    last = base ** (k - 1)
+    first = map(mod, codes, repeat(base))
+    second = map(mod, map(floordiv, codes, repeat(base)), repeat(base))
+    swapped = map(add, codes, map(mul, map(sub, first, second), repeat(base - 1)))
+    cycled = map(add, map(mul, map(mod, codes, repeat(last)), repeat(base)), map(floordiv, codes, repeat(last)))
+    for images in (list(swapped), list(cycled)):
+        found = list(map(terms.get, images))
+        if found != coefficients:
+            i = next(i for i, (c, d) in enumerate(zip(coefficients, found)) if c != d)
+            exps, image = _unpack((codes[i], images[i]), k, base)
+            raise ValueError(f"not symmetric: {exps} has coefficient {coefficients[i]}, {image} has {found[i] or 0}")
 
 
 def monomial_to_schur(poly: MonomialPoly) -> SchurSum:
     """Expand a symmetric polynomial in the Schur basis by peeling dominant weights.
 
-    First checks that the input is symmetric, on every term: each exponent
-    vector must have the coefficient of its sorted rearrangement and each
-    orbit must be complete; otherwise raises ValueError ("not symmetric").
-    A negative or non-int exponent raises ValueError too.
+    First checks that the input is symmetric: every coefficient must be
+    unchanged by swapping x1 and x2 and by the cycle x_i -> x_(i+1),
+    which together generate every permutation of the variables;
+    otherwise raises ValueError ("not symmetric"). The check and the peel
+    read the packed codes, never exponent tuples.
     Then only the dominant weights matter. The coefficient of x^mu in s_lam
     is the Kostka number K(lam, mu), which is 1 at mu = lam and 0 unless
     lam dominates mu, so it is 0 at every mu after lam in descending lex
@@ -333,20 +371,21 @@ def monomial_to_schur(poly: MonomialPoly) -> SchurSum:
     that order, the remaining coefficient at lam is therefore the
     coefficient of s_lam; peeling it subtracts c * K(lam, mu) at every
     later mu, including weights absent from the input
-    (x1^2 + x2^2 = s_2 - s_11). K comes from the horizontal-strip
-    branching rule; the counts and the strip lists, shared across
-    contents, are memoized for this call only.
+    (x1^2 + x2^2 = s_2 - s_11). K is in closed form for contents of one or
+    two letters and comes from the horizontal-strip branching rule for
+    longer ones; the counts below the peel's own pairs and the strip
+    lists, shared across contents, are memoized for this call only.
 
     The result must evaluate at k ones (Weyl's formula) to the input's
     coefficient sum; AssertionError otherwise.
     """
-    k = poly.k
-    dominant = _check_symmetric(poly)
+    k, codes = poly.k, poly._codes
+    _check_symmetric(poly)
     memo: dict = {}
     found: dict[Partition, int] = {}
-    for degree in sorted(set(map(sum, dominant)), reverse=True):
+    for degree in sorted(poly._degrees, reverse=True):
         shapes = partitions_of(degree, k)
-        remaining = [dominant.get(mu, 0) for mu in shapes]
+        remaining = [codes.get(_pack(lam, poly._base), 0) for lam in shapes]
         for i, lam in enumerate(shapes):
             c = remaining[i]
             if not c:

@@ -275,18 +275,21 @@ class SchurSum:
         # Writes ``rows``, (keys, coefficients) lists of nonzero terms in the
         # order of _sorted_keys, which it may change, with one % per row. Term
         # by term, the format string takes a lead and a trail piece, one kept
-        # per distinct coefficient and the other per distinct row count. Each
-        # term starts with its separator, which the first term written drops.
+        # per distinct coefficient and the other per distinct row count, and
+        # made on its first lookup. Each term starts with its separator,
+        # which the first term written drops.
         if as_json:
             # ,{"lambda":[a,b then ],"coeff":c}, and the list closes.
-            coeff_at, coeff_piece = 1, lambda c: '],"coeff":%d}' % c
-            rows_piece = lambda r: ',{"lambda":[' + ",".join(("%d",) * r)
+            coeff_at = 1
+            by_coeff = _Pieces(lambda c: '],"coeff":%d}' % c)
+            by_rows = _Pieces(lambda r: ',{"lambda":[' + ",".join(("%d",) * r))
         else:
             # " + " or " - ", then "c*" unless c is 1, then s[a,b]. The
             # constant term, which sorts last, is its magnitude alone.
-            coeff_at, coeff_piece = 0, lambda c: (" + " if c > 0 else " - ") + ("%d*" % abs(c) if abs(c) != 1 else "")
-            rows_piece = lambda r: "s[%s]" % ",".join(("%d",) * r)
-        by_coeff, by_rows, first = {}, {}, True
+            coeff_at = 0
+            by_coeff = _Pieces(lambda c: (" + " if c > 0 else " - ") + ("%d*" % abs(c) if abs(c) != 1 else ""))
+            by_rows = _Pieces(lambda r: "s[%s]" % ",".join(("%d",) * r))
+        first = True
         for keys, coefficients in rows:
             if not keys:
                 continue
@@ -295,8 +298,6 @@ class SchurSum:
                 keys.pop()
                 c = coefficients.pop()
                 tail = " %s %d" % ("+" if c > 0 else "-", abs(c))
-            by_coeff.update((c, coeff_piece(c)) for c in set(coefficients).difference(by_coeff))
-            by_rows.update((r, rows_piece(r)) for r in set(map(len, keys)).difference(by_rows))
             # Interleaved by slice assignment, which measured faster than
             # chaining zipped pairs.
             pieces = [""] * (2 * len(keys))
@@ -325,6 +326,19 @@ class SchurSum:
 
     def __repr__(self) -> str:
         return f"<SchurSum {self}>"
+
+
+class _Pieces(dict):
+    # The pieces of _render by coefficient or by row count: a missing one
+    # is made by ``make`` and kept, so a row's C-level lookups find each.
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        piece = self[key] = self.make(key)
+        return piece
 
 
 def _add_into(out: dict[tuple[int, ...], int], terms: dict[tuple[int, ...], int], sign: int) -> None:

@@ -165,6 +165,37 @@ def test_monomial_to_schur_rejects_asymmetric():
         monomial_to_schur(MonomialPoly(2, {(2, 1): 1}))
     with pytest.raises(ValueError, match="not symmetric"):
         monomial_to_schur(MonomialPoly(2, {(1, 2): 1}))
+    # Each is invariant under one of the two generators the check uses:
+    # x1^2 x2 + x2^2 x3 + x3^2 x1 under the cycle only, x1 + x2 under the
+    # swap of x1 and x2 only.
+    with pytest.raises(ValueError, match="not symmetric"):
+        monomial_to_schur(MonomialPoly(3, {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1}))
+    with pytest.raises(ValueError, match="not symmetric"):
+        monomial_to_schur(MonomialPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1}))
+
+
+def test_plethysm_oracle_rejects_a_raised_table_count(monkeypatch):
+    # The table of h3[h3] keys (0, 3, 6) by the code 3*10 + 6*10^2 (base
+    # m*n + 1 = 10); one more multiset there breaks the symmetry.
+    table = oracle.plethysm_hh_monomial
+
+    def raised(m, n, k, budget):
+        poly = table(m, n, k, budget=budget)
+        poly._codes[3 * 10 + 6 * 10**2] += 1
+        return poly
+
+    monkeypatch.setattr(oracle, "plethysm_hh_monomial", raised)
+    with pytest.raises(ValueError, match=r"not symmetric: .*\(0, 3, 6\)"):
+        plethysm_oracle(3, 3)
+
+
+def test_tuple_entry_converts_as_the_packed_table():
+    # The foulkes benchmark's pairs, each side in its own number of rows:
+    # the table's codes and the same terms packed again from tuples.
+    for m, n in ((2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 4), (2, 6)):
+        for a, b in ((m, n), (n, m)):
+            poly = plethysm_hh_monomial(a, b, a)
+            assert monomial_to_schur(MonomialPoly(a, poly.terms)) == monomial_to_schur(poly), (a, b)
 
 
 def test_monomial_to_schur_peels_absent_weights():
@@ -212,6 +243,16 @@ def test_kostka_shared_memo_matches_tableau_enumeration():
                 for mu in weights:
                     padded = tuple(mu) + (0,) * (k - len(mu))
                     assert _kostka(lam, mu, memo) == contents.get(padded, 0), (lam, mu, k)
+
+
+def test_kostka_stores_only_counts_below_the_top_of_three_letters_or_more():
+    # K((4, 2), (2, 2, 1, 1)) = 4 by tableau enumeration. The pair asked
+    # for is not stored, nor is any count of one or two letters.
+    memo = {}
+    assert _kostka((4, 2), (2, 2, 1, 1), memo) == 4
+    counts = [key for key in memo if len(key) == 2]
+    assert counts and all(len(mu) > 2 for _, mu in counts)
+    assert ((4, 2), (2, 2, 1, 1)) not in memo
 
 
 def test_strips_match_brute_force():

@@ -12,8 +12,9 @@ command drops, and the collector, which would pass over the fresh tuple
 keys every few hundred allocations, finds nothing. Library functions
 never touch ``gc``.
 
-The h3 routes give h3[hn] as its columns. expand writes it row by row
-from them (``SchurSum._column_rows``), verify compares the two routes
+The h3 routes give h3[hn] as its columns. expand writes it from them as
+one run of terms per row (``SchurSum._column_rows``), each run one join
+of part strings made once per call; verify compares the two routes
 column by column in one sweep over n (``run_verify``), and dent --m 3
 checks each D(n) from its two columns (``_dent_checks``). None builds an
 h3 sum but to list what fails or, in verify, to compare with the oracle.
@@ -113,13 +114,13 @@ def cmd_expand(args) -> int:
         return EXIT_USAGE
     # h3's columns are each checked before the first byte is written.
     as_json, write = args.format == "json", sys.stdout.write
-    rows = None if isinstance(total, SchurSum) else SchurSum._column_rows(args.n, total)
+    runs = None if isinstance(total, SchurSum) else SchurSum._column_rows(args.n, total)
     if as_json:  # dumps of the header, with the terms spliced in
         write(dumps({"m": args.m, "n": args.n, "method": args.method})[:-1] + ',"terms":')
-    if rows is None:
+    if runs is None:
         write(total.json_terms_text() if as_json else str(total))
     else:
-        SchurSum._render(rows, as_json, write)
+        SchurSum._render(runs, as_json, write)
     write("}\n" if as_json else "\n")
     return EXIT_OK
 

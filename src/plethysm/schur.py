@@ -14,20 +14,19 @@ validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
 ``from_json_terms``, and only ``terms()`` and ``support()`` hand it out.
 
 Every output lists the terms in descending lex order on the keys, the
-list that ``_sorted_keys`` returns. ``_render`` writes them one row at a
-time with one ``%``: a format string that gives each term a piece for its
-coefficient and one for its row count, such as ``" - 2*"`` and
-``"s[%d,%d]"``, each built once per distinct value, filled in with the
-parts of every key of the row. ``str()`` and ``json_terms_text()`` pass
-the sorted keys as one row, ``expand --m 3`` the rows of h3's columns
-(``_column_rows``) unsorted. ``terms()`` and ``json_terms()`` hand out
-the same terms as data.
+list that ``_sorted_keys`` returns. ``_render`` writes them in runs, each
+one join of a per-term template filled by strided slice assignment: a
+piece per distinct coefficient, such as ``" - 2*s["``, and part strings
+such as ``"4"`` and ``",2"``, made once per distinct part where parts
+repeat. ``str()`` and ``json_terms_text()`` pass their sorted keys,
+``expand --m 3`` one run per row of h3's columns (``_column_rows``),
+unsorted. ``terms()`` and ``json_terms()`` hand out the same terms as data.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from itertools import chain, compress, repeat
+from itertools import compress, groupby, repeat, zip_longest
 from math import prod
 from operator import add, and_, getitem, mul
 
@@ -103,21 +102,33 @@ class SchurSum:
 
     @staticmethod
     def _column_rows(n: int, columns: list[list[int]]):
-        # _render's rows of _from_columns(n, columns), once every column is
-        # checked: row a = 3n, ..., n holds the terms with first part a, in
-        # which b descends as c ascends, so it is entry 3n - a - 2c of column
+        # _render's runs of _from_columns(n, columns), once every column is
+        # checked: one per row a = 3n, ..., n, whose terms have first part a
+        # and b descending as c ascends, so it is entry 3n - a - 2c of column
         # c for c from max(0, 3n - 2a) to min((3n - a) // 2, len(columns) - 1).
+        # Its slots are a, ",b" and ",c"; the constant has none.
         SchurSum._checked_columns(n, columns)
-        return map(SchurSum._column_row, repeat(3 * n), repeat(columns), range(3 * n, n - 1, -1))
+        return SchurSum._column_runs(n, columns)
 
     @staticmethod
-    def _column_row(w: int, columns: list[list[int]], a: int):
-        lo, hi = max(0, w - 2 * a), min((w - a) // 2, len(columns) - 1)
-        coefficients = list(map(getitem, columns[lo:hi + 1], range(w - a - 2 * lo, w - a - 2 * hi - 1, -2)))
-        keys = list(compress(zip(repeat(a), range(w - a - lo, w - a - hi - 1, -1), range(lo, hi + 1)), coefficients))
-        if not lo and any(coefficients[:1]):  # the key at c = 0 drops its zero parts
-            keys[0] = tuple(filter(None, keys[0]))
-        return keys, list(filter(None, coefficients))
+    def _column_runs(n: int, columns: list[list[int]]):
+        w, last = 3 * n, len(columns) - 1
+        parts, tails = SchurSum._part_strings(w)
+        below = tails[::-1]  # below[a + c] is the tail of b = 3n - a - c
+        for r, a in enumerate(range(w, n - 1, -1)):  # r = b + c
+            lo, hi = max(0, r - a), min(r // 2, last)
+            coefficients = list(map(getitem, columns[lo:hi + 1], range(r - 2 * lo, r - 2 * hi - 1, -2)))
+            nonzero = list(filter(None, coefficients))
+            if nonzero:
+                yield nonzero, [[parts[a]] * len(nonzero), compress(below[a + lo:a + hi + 1], coefficients),
+                                compress(tails[lo:hi + 1], coefficients)] if a else []
+
+    @staticmethod
+    def _part_strings(top: int) -> tuple[list[str], list[str]]:
+        # The strings of the parts 0, ..., top, each made once, and of each
+        # after a comma, empty for 0: a zero or missing part drops its comma.
+        parts = list(map(str, range(top + 1)))
+        return parts, ["", *map(",".__add__, parts[1:])]
 
     @staticmethod
     def _columns_at_three_ones(n: int, columns: list[list[int]]) -> int:
@@ -271,49 +282,57 @@ class SchurSum:
         return cls((tuple(item["lambda"]), item["coeff"]) for item in items)
 
     @staticmethod
-    def _render(rows, as_json: bool, write) -> None:
-        # Writes ``rows``, (keys, coefficients) lists of nonzero terms in the
-        # order of _sorted_keys, which it may change, with one % per row. Term
-        # by term, the format string takes a lead and a trail piece, one kept
-        # per distinct coefficient and the other per distinct row count, and
-        # made on its first lookup. Each term starts with its separator,
-        # which the first term written drops.
+    def _render(runs, as_json: bool, write) -> None:
+        # Writes ``runs`` of nonzero terms in the order of _sorted_keys, one
+        # join per run. A run is (coefficients, slots): each slot gives every
+        # term one string, and a term is a lead, its slots (its key's parts
+        # and the commas between them) and a trail. The coefficient's piece,
+        # made on its first lookup, leads in text and trails in JSON. A run
+        # with no slots is the constant. The first term drops its separator.
         if as_json:
             # ,{"lambda":[a,b then ],"coeff":c}, and the list closes.
-            coeff_at = 1
+            lead, trail = ',{"lambda":[', ""
             by_coeff = _Pieces(lambda c: '],"coeff":%d}' % c)
-            by_rows = _Pieces(lambda r: ',{"lambda":[' + ",".join(("%d",) * r))
         else:
-            # " + " or " - ", then "c*" unless c is 1, then s[a,b]. The
-            # constant term, which sorts last, is its magnitude alone.
-            coeff_at = 0
-            by_coeff = _Pieces(lambda c: (" + " if c > 0 else " - ") + ("%d*" % abs(c) if abs(c) != 1 else ""))
-            by_rows = _Pieces(lambda r: "s[%s]" % ",".join(("%d",) * r))
+            # " + " or " - ", then "c*" unless c is 1, then s[a,b].
+            lead, trail = "", "]"
+            by_coeff = _Pieces(lambda c: (" + " if c > 0 else " - ") + ("%d*s[" % abs(c) if abs(c) != 1 else "s["))
         first = True
-        for keys, coefficients in rows:
-            if not keys:
-                continue
-            tail = ""
-            if not (as_json or keys[-1]):
-                keys.pop()
-                c = coefficients.pop()
-                tail = " %s %d" % ("+" if c > 0 else "-", abs(c))
-            # Interleaved by slice assignment, which measured faster than
-            # chaining zipped pairs.
-            pieces = [""] * (2 * len(keys))
-            pieces[coeff_at::2] = map(by_coeff.__getitem__, coefficients)
-            pieces[1 - coeff_at::2] = map(by_rows.__getitem__, map(len, keys))
-            pieces.append(tail)
+        for coefficients, slots in runs:
+            if slots or as_json:
+                size = len(slots) + 2
+                pieces = [lead, *repeat("", len(slots)), trail] * len(coefficients)
+                pieces[size - 1 if as_json else 0::size] = map(by_coeff.__getitem__, coefficients)
+                for at, slot in enumerate(slots, 1):
+                    pieces[at::size] = slot
+            else:  # the constant term of text is its magnitude alone
+                c, = coefficients
+                pieces = [" %s %d" % ("+" if c > 0 else "-", abs(c))]
             if first:  # JSON opens its list at the first comma; text keeps a minus
                 head, first = pieces[0], False
                 pieces[0] = "[" + head[1:] if as_json else head[3:] if head[1] == "+" else "-" + head[3:]
-            write("".join(pieces) % tuple(chain.from_iterable(keys)))
+            write("".join(pieces))
         # No term at all is the zero sum; JSON closes its list.
         write(("[]" if as_json else "0") if first else "]" if as_json else "")
 
     def _rendered(self, as_json: bool) -> str:
-        keys, out = self._sorted_keys(), []  # every term, as one row
-        SchurSum._render([(keys, list(map(self._terms.__getitem__, keys)))], as_json, out.append)
+        # The sorted keys as runs: if parts repeat (the top one is at most
+        # twice the key count), one of all keys padded with zeros; else one
+        # per key length. The constant, which sorts last, is a run alone.
+        keys, terms, runs, out = self._sorted_keys(), self._terms, [], []
+        constant = [([keys.pop()], [])] if keys and not keys[-1] else []
+        if keys and keys[0][0] <= 2 * len(keys):
+            parts, tails = SchurSum._part_strings(keys[0][0])
+            columns = zip_longest(*keys, fillvalue=0)
+            runs.append((keys, [map(parts.__getitem__, next(columns)), *map(map, repeat(tails.__getitem__), columns)]))
+        else:
+            for r, run in groupby(keys, len):
+                run = list(run)
+                slots = [[","] * len(run)] * (2 * r - 1)
+                slots[::2] = map(map, repeat(format), zip(*run))
+                runs.append((run, slots))
+        SchurSum._render([(list(map(terms.__getitem__, run)), slots) for run, slots in runs + constant],
+                         as_json, out.append)
         return "".join(out)
 
     def json_terms_text(self) -> str:
@@ -329,8 +348,8 @@ class SchurSum:
 
 
 class _Pieces(dict):
-    # The pieces of _render by coefficient or by row count: a missing one
-    # is made by ``make`` and kept, so a row's C-level lookups find each.
+    # The pieces of _render by coefficient: a missing one is made by
+    # ``make`` and kept, so a run's C-level lookups find each.
     __slots__ = ("make",)
 
     def __init__(self, make) -> None:

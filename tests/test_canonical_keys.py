@@ -1,8 +1,9 @@
-"""Every sum a route builds, and every row ``expand`` writes from h3's
-columns, is keyed by canonical partitions.
+"""Every sum a route builds, and every run of terms ``expand`` writes from
+h3's columns, is keyed by canonical partitions.
 
-Inside a ``SchurSum`` and a row the keys are plain tuples built by the
-package itself, where ``+`` would concatenate instead of adding, so nothing but
+Inside a ``SchurSum`` the keys are plain tuples built by the package
+itself, where ``+`` would concatenate instead of adding, and a run holds
+only the strings of its keys' parts and the commas between them. So nothing but
 these tests checks that they are partitions: weakly decreasing, positive,
 no zeros.
 """
@@ -37,9 +38,16 @@ def test_route_keys_are_canonical(m, route):
     cache = RecurrenceCache()
     for n in (*range(MAX_N + 1), *LARGE_N):
         value = _METHODS[m][route](n, cache)
-        if m == 3:  # columns, read as a sum and as the rows expand writes
-            for keys, _ in SchurSum._column_rows(n, value):
-                assert all(tuple(Partition(lam)) == lam for lam in keys), keys
+        if m == 3:  # columns, read as a sum and as the runs expand writes
+            for coefficients, slots in SchurSum._column_rows(n, value):
+                # A term's slots join to its key's parts with commas between
+                # them, at most one part per slot; the constant has no slots.
+                texts = ["".join(term).split(",") for term in zip(*slots)] if slots else [[]]
+                keys = [tuple(map(int, parts)) for parts in texts]
+                assert len(keys) == len(coefficients) and all(coefficients), (n, keys, coefficients)
+                for parts, lam in zip(texts, keys):
+                    assert list(map(str, lam)) == parts and len(lam) <= len(slots), parts
+                    assert tuple(Partition(lam)) == lam, lam
             value = SchurSum._from_columns(n, value)
         assert_canonical(value)
 

@@ -140,10 +140,12 @@ def _faulted_columns():
     # Columns of h3[hn] by n, as no correct route gives them: T(9) with
     # its entry at b = 0 raised by 7, which reaches h3[h9], h3[h11] and,
     # through T(13), h3[h13]; negative entries, the first term's among
-    # them; no term at all; and the constant alone, negative.
+    # them; no term at all; the constant alone, negative; and only the
+    # first one or two columns, which reach no row of a small first part.
     cache = RecurrenceCache()
     cache._layer(9)[0] += 7
     faulted = {n: cache.h3_columns(n) for n in range(9, 14)}
+    faulted.update((n, cache.h3_columns(n, stop)) for n, stop in ((1, 1), (2, 2), (6, 1), (7, 2)))
     faulted[5] = thrall.h3_columns(5)
     faulted[5][0][0], faulted[5][2][1] = -1, -3
     faulted[3] = [[0] * len(column) for column in thrall.h3_columns(3)]

@@ -15,18 +15,20 @@ validates what enters through ``SchurSum(...)``, ``s()``, ``coeff()`` and
 
 Every output lists the terms in descending lex order on the keys, the
 list that ``_sorted_keys`` returns. ``_render`` writes them in runs, each
-one join of a per-term template filled by strided slice assignment: a
-piece per distinct coefficient, such as ``" - 2*s["``, and part strings
-such as ``"4"`` and ``",2"``, made once per distinct part where parts
-repeat. ``str()`` and ``json_terms_text()`` pass their sorted keys,
-``expand --m 3`` one run per row of h3's columns (``_column_rows``),
-unsorted. ``terms()`` and ``json_terms()`` hand out the same terms as data.
+one join filled by strided slice assignment: per term, the piece between
+it and the term before, such as ``"] - 2*s["``, made once per distinct
+coefficient, then its key's parts and their commas. ``expand --m 3``
+passes one run per row of h3's columns (``_column_rows``), unsorted, with
+the string of each part made once per call. ``str()`` and
+``json_terms_text()`` pass their sorted keys as one run of ``%d`` format
+pieces, one made per key length, and fill in every part with one ``%``.
+``terms()`` and ``json_terms()`` hand out the same terms as data.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from itertools import compress, groupby, repeat, zip_longest
+from itertools import chain, compress, repeat
 from math import prod
 from operator import add, and_, getitem, mul
 
@@ -113,7 +115,8 @@ class SchurSum:
     @staticmethod
     def _column_runs(n: int, columns: list[list[int]]):
         w, last = 3 * n, len(columns) - 1
-        parts, tails = SchurSum._part_strings(w)
+        parts = list(map(str, range(w + 1)))  # each part's string, made once
+        tails = ["", *map(",".__add__, parts[1:])]  # after a comma; a zero part has none
         below = tails[::-1]  # below[a + c] is the tail of b = 3n - a - c
         for r, a in enumerate(range(w, n - 1, -1)):  # r = b + c
             lo, hi = max(0, r - a), min(r // 2, last)
@@ -122,13 +125,6 @@ class SchurSum:
             if nonzero:
                 yield nonzero, [[parts[a]] * len(nonzero), compress(below[a + lo:a + hi + 1], coefficients),
                                 compress(tails[lo:hi + 1], coefficients)] if a else []
-
-    @staticmethod
-    def _part_strings(top: int) -> tuple[list[str], list[str]]:
-        # The strings of the parts 0, ..., top, each made once, and of each
-        # after a comma, empty for 0: a zero or missing part drops its comma.
-        parts = list(map(str, range(top + 1)))
-        return parts, ["", *map(",".__add__, parts[1:])]
 
     @staticmethod
     def _columns_at_three_ones(n: int, columns: list[list[int]]) -> int:
@@ -283,57 +279,57 @@ class SchurSum:
 
     @staticmethod
     def _render(runs, as_json: bool, write) -> None:
-        # Writes ``runs`` of nonzero terms in the order of _sorted_keys, one
-        # join per run. A run is (coefficients, slots): each slot gives every
-        # term one string, and a term is a lead, its slots (its key's parts
-        # and the commas between them) and a trail. The coefficient's piece,
-        # made on its first lookup, leads in text and trails in JSON. A run
-        # with no slots is the constant. The first term drops its separator.
+        # Writes ``runs``, non-empty lists of nonzero terms in the order of
+        # _sorted_keys, one join per run. A run is (coefficients, slots), and
+        # each slot gives every term one string: its key's parts and the
+        # commas between them. Between two terms of a run goes one piece,
+        # made on its first lookup from a coefficient: text's closes one term
+        # and opens the next with that one's coefficient, JSON's closes one
+        # with its own and opens the next. A run with no slots is the constant.
         if as_json:
-            # ,{"lambda":[a,b then ],"coeff":c}, and the list closes.
-            lead, trail = ',{"lambda":[', ""
-            by_coeff = _Pieces(lambda c: '],"coeff":%d}' % c)
+            # ],"coeff":c},{"lambda":[ after each term, less its last 12
+            # characters after the last; a run opens with ,{"lambda":[.
+            between = _Pieces(lambda c: '],"coeff":%d},{"lambda":[' % c)
         else:
-            # " + " or " - ", then "c*" unless c is 1, then s[a,b].
-            lead, trail = "", "]"
-            by_coeff = _Pieces(lambda c: (" + " if c > 0 else " - ") + ("%d*s[" % abs(c) if abs(c) != 1 else "s["))
+            # "] + " or "] - ", then "c*" unless c is 1, then "s[" before each
+            # term, less its "]" before the first; a run closes with "]".
+            between = _Pieces(lambda c: ("] + " if c > 0 else "] - ") + ("%d*s[" % abs(c) if abs(c) != 1 else "s["))
         first = True
         for coefficients, slots in runs:
             if slots or as_json:
-                size = len(slots) + 2
-                pieces = [lead, *repeat("", len(slots)), trail] * len(coefficients)
-                pieces[size - 1 if as_json else 0::size] = map(by_coeff.__getitem__, coefficients)
+                size = len(slots) + 1
+                pieces = [""] * (size * len(coefficients) + 1)
+                if as_json:
+                    pieces[size::size] = map(between.__getitem__, coefficients)
+                    pieces[0], pieces[-1] = ',{"lambda":[', pieces[-1][:-12]
+                else:
+                    pieces[:-1:size] = map(between.__getitem__, coefficients)
+                    pieces[0], pieces[-1] = pieces[0][1:], "]"
                 for at, slot in enumerate(slots, 1):
                     pieces[at::size] = slot
-            else:  # the constant term of text is its magnitude alone
+            else:  # the constant term of text, which sorts last, is its magnitude alone
                 c, = coefficients
                 pieces = [" %s %d" % ("+" if c > 0 else "-", abs(c))]
-            if first:  # JSON opens its list at the first comma; text keeps a minus
+            if first:  # JSON opens its list at the first comma; text keeps only a minus
                 head, first = pieces[0], False
                 pieces[0] = "[" + head[1:] if as_json else head[3:] if head[1] == "+" else "-" + head[3:]
             write("".join(pieces))
+            # Freed before the next run's list is made: a sink that keeps
+            # every run (a StringIO) peaked 6 MB higher at h3[h1200] as JSON.
+            del pieces
         # No term at all is the zero sum; JSON closes its list.
         write(("[]" if as_json else "0") if first else "]" if as_json else "")
 
     def _rendered(self, as_json: bool) -> str:
-        # The sorted keys as runs: if parts repeat (the top one is at most
-        # twice the key count), one of all keys padded with zeros; else one
-        # per key length. The constant, which sorts last, is a run alone.
-        keys, terms, runs, out = self._sorted_keys(), self._terms, [], []
-        constant = [([keys.pop()], [])] if keys and not keys[-1] else []
-        if keys and keys[0][0] <= 2 * len(keys):
-            parts, tails = SchurSum._part_strings(keys[0][0])
-            columns = zip_longest(*keys, fillvalue=0)
-            runs.append((keys, [map(parts.__getitem__, next(columns)), *map(map, repeat(tails.__getitem__), columns)]))
-        else:
-            for r, run in groupby(keys, len):
-                run = list(run)
-                slots = [[","] * len(run)] * (2 * r - 1)
-                slots[::2] = map(map, repeat(format), zip(*run))
-                runs.append((run, slots))
-        SchurSum._render([(list(map(terms.__getitem__, run)), slots) for run, slots in runs + constant],
-                         as_json, out.append)
-        return "".join(out)
+        # The sorted keys as one run whose slot is each key's format piece,
+        # such as "%d,%d", kept per key length, and one % over all their parts
+        # fills it in. The constant, which sorts last, is a run alone.
+        keys, terms, out = self._sorted_keys(), self._terms, []
+        constant = [([terms[keys.pop()]], [])] if keys and not keys[-1] else []
+        formats = _Pieces(lambda r: ",".join(("%d",) * r))
+        run = [(list(map(terms.__getitem__, keys)), [map(formats.__getitem__, map(len, keys))])] if keys else []
+        SchurSum._render(run + constant, as_json, out.append)
+        return "".join(out) % tuple(chain.from_iterable(keys))
 
     def json_terms_text(self) -> str:
         """``json_terms()`` as compact JSON text: the bytes of
@@ -348,8 +344,8 @@ class SchurSum:
 
 
 class _Pieces(dict):
-    # The pieces of _render by coefficient: a missing one is made by
-    # ``make`` and kept, so a run's C-level lookups find each.
+    # The pieces of _render by coefficient, or of _rendered by key length:
+    # a missing one is made by ``make`` and kept, so C-level lookups find each.
     __slots__ = ("make",)
 
     def __init__(self, make) -> None:

@@ -255,6 +255,15 @@ def test_kostka_stores_only_counts_below_the_top_of_three_letters_or_more():
     assert ((4, 2), (2, 2, 1, 1)) not in memo
 
 
+def test_strips_memoizes_only_lists_of_two_or_more():
+    # Lists of one strip are not stored: they cost more memory than they
+    # save time, by too little for the scale smokes' peaks to show.
+    memo = {}
+    assert _strips((4, 2), 2, 1, memo) == [(4,)]
+    assert _strips((4, 2), 2, 2, memo) == [(4,), (3, 1), (2, 2)]
+    assert list(memo) == [((4, 2), 2, 2)]
+
+
 def test_strips_match_brute_force():
     # Every nu with lam[i+1] <= nu[i] <= lam[i], |lam| - |nu| = size and at
     # most `rows` rows, as one sorted list without repeats.

@@ -3,9 +3,10 @@
 Usage: PYTHONPATH=src python .github/scale_smoke.py MAX_MB 'ARGS' ['ARGS' ...]
 
 Each quoted ARGS is one ``plethysm`` command line, run in turn through
-``plethysm.cli.main`` with its stdout discarded. Exits 0 when every command
-exits 0 and the larger of two peaks stays below MAX_MB megabytes, 1
-otherwise: the peak RSS of this process and that of the largest child it
+``plethysm.cli.main`` with its stdout written to ``os.devnull``, so the
+peaks are the program's and not those of a copy of its output. Exits 0
+when every command exits 0 and the larger of two peaks stays below MAX_MB
+megabytes, 1 otherwise: the peak RSS of this process and that of the largest child it
 has reaped. No command forks today; the children's peak keeps a command
 that starts one from passing on the caller's peak alone. ``ru_maxrss``
 covers a whole process, so give each case its own process.
@@ -16,7 +17,7 @@ compiles the package too, and peaks about 0.5 MB higher. Run
 """
 
 import contextlib
-import io
+import os
 import resource
 import shlex
 import sys
@@ -25,7 +26,7 @@ from plethysm.cli import main
 
 
 def run(max_mb: float, commands: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
         codes = [main(shlex.split(command)) for command in commands]
     self_mb, children_mb = (resource.getrusage(who).ru_maxrss / 1024
                             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))

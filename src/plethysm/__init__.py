@@ -16,15 +16,8 @@ h_n[h_m] - h_m[h_n] and for h_m[hn] - s_(2^m) odot h_m[h(n-2)], and a CLI
 
 from .partition import Partition, min_gap, partitions_of
 from .schur import SchurSum, s
-from .thrall import coeff_from_gap, h3_coeff_closed, h3_coeff_recursive, h3_thrall
-from .recurrence import (
-    RecurrenceCache,
-    dent_differences,
-    h2_closed,
-    h2_rec,
-    h3,
-    h3_two_row,
-)
+from .thrall import h3_coeff_closed, h3_thrall
+from .recurrence import RecurrenceCache, h2_closed, h2_rec, h3, h3_two_row
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -45,16 +38,13 @@ __all__ = [
     "min_gap",
     "SchurSum",
     "s",
-    "coeff_from_gap",
     "h3_coeff_closed",
-    "h3_coeff_recursive",
     "h3_thrall",
     "RecurrenceCache",
     "h2_closed",
     "h2_rec",
     "h3",
     "h3_two_row",
-    "dent_differences",
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "MonomialPoly",

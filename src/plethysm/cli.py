@@ -39,8 +39,8 @@ from .oracle import (
     multiset_count,
     plethysm_oracle,
 )
-from .recurrence import RecurrenceCache, dent_differences, h2_closed
-from .schur import SchurSum
+from .recurrence import RecurrenceCache, h2_closed
+from .schur import SchurSum, s
 # h3_thrall is not used here. It stays importable from this module
 # because the per-layer trace in perfbench/spans.py hooks it by this name.
 from .thrall import h3_thrall  # noqa: F401
@@ -264,16 +264,24 @@ def cmd_foulkes(args) -> int:
 
 def _dent_checks(m: int, max_n: int):
     """Yield (n, terms, negative terms, value at m ones) of each dent
-    difference D(n), 2 <= n <= max_n, as ``dent_differences`` defines it.
+    difference D(n) = h_m[hn] - s_(2^m) odot h_m[h(n-2)], with m twos,
+    2 <= n <= max_n; m in {2, 3}.
 
-    For m = 2 they are read from its sums. For m = 3, D(n) is columns 0
-    and 1 of h3[hn], read from one RecurrenceCache: the terms are the
-    nonzero entries, the value is a dot product with Weyl's products
+    For m = 2, D(n) is the difference of two closed-form sums and an
+    ``odot``, built at every n. For m = 3 it is the recurrence's own term
+    T(n) + s_441 odot T(n-3): T(n) has third part 0 and T(n-3), shifted by
+    (4, 4, 1), third part 1, so D(n) is exactly the columns 0 and 1 of
+    h3[hn], read from one RecurrenceCache. The terms are the nonzero
+    entries, the value is a dot product with Weyl's products
     (SchurSum._columns_at_three_ones), and ``_negative_h3_terms`` lists
-    the negative terms.
+    the negative terms. So for m = 3, D(n) is positive by construction;
+    the check of its value at m ones is the one a wrong layer entry fails.
+    Comparing D(n) with Thrall's difference here is still ROADMAP item 3.
     """
     if m == 2:
-        for n, diff in dent_differences(m, max_n):
+        column = s(2, 2)
+        for n in range(2, max_n + 1):
+            diff = h2_closed(n) - column.odot(h2_closed(n - 2))
             yield n, len(diff), _negative_terms(diff), diff.eval_at_ones(m)
         return
     cache = RecurrenceCache()

@@ -49,15 +49,13 @@ h2[hn] is built afresh on every call, in O(n).
 
 The module keeps no cache of its own: the module-level h3_two_row and h3
 fill a fresh one that is dropped on return, so a loop over n that should
-reuse the layers calls one RecurrenceCache's methods. The cache keeps no
-sums; dent_differences reads its m = 3 differences from its own cache's
-columns.
+reuse the layers calls one RecurrenceCache's methods.
 """
 
 from itertools import repeat
 from operator import add
 
-from .schur import SchurSum, s
+from .schur import SchurSum
 
 
 def h2_closed(n: int) -> SchurSum:
@@ -152,28 +150,3 @@ def h3(n: int) -> SchurSum:
     """
     return RecurrenceCache().h3(n)
 
-
-def dent_differences(m: int, max_n: int):
-    """Yield (n, h_m[hn] - s_(2,...,2) odot h_m[h_{n-2}]), with m twos, for
-    2 <= n <= max_n; m in {2, 3}.
-
-    For m = 2 each term is the difference of two closed-form sums. For
-    m = 3 it is the recurrence's own term D(n) = T(n) + s_441 odot T(n-3):
-    T(n) has third part 0 and T(n-3), shifted by (4, 4, 1), third part 1,
-    so D(n) is exactly the columns 0 and 1 of h3[hn], read from one
-    RecurrenceCache. So D(n) is positive by construction; the check of its
-    value at m ones is the one that a wrong layer entry fails. cli.cmd_dent
-    reads the same columns itself, without building these sums.
-    Comparing D(n) with Thrall's difference in the CLI is still ROADMAP
-    item 3.
-    """
-    if m == 2:
-        column = s(2, 2)
-        for n in range(2, max_n + 1):
-            yield n, h2_closed(n) - column.odot(h2_closed(n - 2))
-    elif m == 3:
-        cache = RecurrenceCache()
-        for n in range(2, max_n + 1):
-            yield n, SchurSum._from_columns(n, cache.h3_columns(n, 2))
-    else:
-        raise ValueError("m must be 2 or 3")

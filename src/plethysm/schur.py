@@ -275,7 +275,13 @@ class SchurSum:
 
     @classmethod
     def from_json_terms(cls, items: Iterable[Mapping]) -> "SchurSum":
-        return cls((tuple(item["lambda"]), item["coeff"]) for item in items)
+        """The sum of the wire format's terms; a malformed item is a ValueError."""
+        pairs = []
+        for item in items:
+            if not (isinstance(item, Mapping) and "coeff" in item and isinstance(item.get("lambda"), list)):
+                raise ValueError(f"a term must map 'lambda' to a list and have a 'coeff', got {item!r}")
+            pairs.append((tuple(item["lambda"]), item["coeff"]))
+        return cls(pairs)
 
     @staticmethod
     def _render(runs, as_json: bool, write) -> None:

@@ -3,8 +3,10 @@
 The multiplicity of s_lam in h3[hn] (for lam of weight 3n with at most
 three parts) depends only on two statistics of lam: the gap statistic
 min(1 + lam1 - lam2, 1 + lam2 - lam3) and the parity of lam2. Thrall's
-classical formula expresses it in closed form; an equivalent recursion
-steps the gap statistic down by six, adding one per step.
+classical formula expresses it in closed form. The equivalent recursion,
+which steps the gap statistic down by six and adds one per step, lives in
+the test suite's reference module (tests/reference.py), as the reference
+the closed form is compared with.
 
 ``h3_columns(n)`` lists the coefficients of h3[hn] as its n + 1 columns,
 column c those of s_(3n-b-c, b, c) for c <= b <= (3n-c)//2, zeros
@@ -20,38 +22,6 @@ builds its sum from them.
 # because the per-layer trace in perfbench/spans.py hooks it by this name.
 from .partition import Partition, min_gap, partitions_of  # noqa: F401
 from .schur import SchurSum
-
-
-def coeff_from_gap(gap: int, parity: int) -> int:
-    """Multiplicity as a function of the gap statistic and second-part parity.
-
-    Defined by: subtracting six from the gap adds one; for gaps below six
-    the value is 1 at gaps 1, 3, 4, 5 when the parity is even, 1 at gap 4
-    when the parity is odd, and 0 otherwise.
-    """
-    if gap < 0:
-        raise ValueError("gap must be nonnegative")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    bumps = 0
-    while gap >= 6:
-        gap -= 6
-        bumps += 1
-    if parity == 0:
-        base = 0 if gap in (0, 2) else 1
-    else:
-        base = 1 if gap == 4 else 0
-    return base + bumps
-
-
-def _check_shape(lam) -> Partition:
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if len(lam) > 3:
-        raise ValueError(f"expected at most three parts, got {len(lam)}")
-    if lam.weight % 3:
-        raise ValueError(f"weight {lam.weight} is not a multiple of 3")
-    return lam
 
 
 def _closed(gap: int, parity: int) -> int:
@@ -73,14 +43,13 @@ def h3_coeff_closed(lam) -> int:
     coefficient is rounded/6; if odd, it is (rounded + 3)/6 for even lam2
     and (rounded - 3)/6 for odd lam2.
     """
-    lam = _check_shape(lam)
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    if len(lam) > 3:
+        raise ValueError(f"expected at most three parts, got {len(lam)}")
+    if lam.weight % 3:
+        raise ValueError(f"weight {lam.weight} is not a multiple of 3")
     return _closed(min_gap(lam), lam.part(1) % 2)
-
-
-def h3_coeff_recursive(lam) -> int:
-    """Coefficient of s_lam in h3[hn] via the gap recursion."""
-    lam = _check_shape(lam)
-    return coeff_from_gap(min_gap(lam), lam.part(1) % 2)
 
 
 def h3_columns(n: int) -> list[list[int]]:

@@ -423,9 +423,9 @@ def test_dent_refuses_before_building(capsys, monkeypatch, m, n, bound):
     args = ["dent", "--m", str(m), "--max-n", str(n)]
     code, out, _ = run(capsys, *args, "--budget", str(bound))
     assert code == 0 and out.startswith("n=2: positive")
-    # A sweep that ran would fail: m = 2 reads dent_differences, m = 3 a
+    # A sweep that ran would fail: m = 2 reads h2_closed, m = 3 a
     # RecurrenceCache.
-    monkeypatch.setattr(cli, "dent_differences", None)
+    monkeypatch.setattr(cli, "h2_closed", None)
     monkeypatch.setattr(cli, "RecurrenceCache", None)
     code, out, err = run(capsys, *args, "--budget", str(bound - 1))
     assert code == 3 and not out

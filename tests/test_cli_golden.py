@@ -177,6 +177,8 @@ best of 1 repeats, milliseconds
         2,
         "",
     ),
+    # dent checks m = 2 and m = 3 only.
+    (["dent", "--m", "4", "--max-n", "5"], 2, ""),
     # Non-integer text reads as argparse's own int error, whichever
     # range check the option has.
     (["expand", "--n", "x"], 2, ""),
@@ -212,6 +214,11 @@ usage: plethysm expand [-h] [--m {2,3}] --n N
                        [--method {recurrence,thrall,closed,oracle}]
                        [--format {text,json}] [--budget BUDGET]
 plethysm expand: error: argument --m: invalid choice: 4 (choose from 2, 3)
+""",
+    "dent --m 4 --max-n 5":
+        """\
+usage: plethysm dent [-h] [--m {2,3}] --max-n MAX_N [--budget BUDGET]
+plethysm dent: error: argument --m: invalid choice: 4 (choose from 2, 3)
 """,
     "expand --n x":
         """\

@@ -17,7 +17,6 @@ import plethysm.cli as cli
 import plethysm.thrall as thrall
 from plethysm import (
     RecurrenceCache,
-    dent_differences,
     foulkes_difference,
     h3,
     h3_thrall,
@@ -41,10 +40,10 @@ def test_calls_without_a_cache_leave_nothing_held():
     tracemalloc.start()
     try:
         h3(200)
-        for n, diff in dent_differences(3, 150):
-            if n == 80:  # a sweep dropped part way frees its sums and layers
+        for n, *check in cli._dent_checks(3, 150):
+            if n == 80:  # a sweep dropped part way frees its layers
                 break
-        del diff
+        del check
         plethysm_oracle(3, 6)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
@@ -87,7 +86,7 @@ CALLS = {
     "bench_exit_3": _main("bench", "--max-n", "100000"),
     "h3": lambda: h3(60),
     "h3_thrall": lambda: h3_thrall(60),
-    "dent_differences": lambda: [list(dent_differences(m, 30)) for m in (2, 3)],
+    "dent_differences": lambda: [list(cli._dent_checks(m, 30)) for m in (2, 3)],
     "plethysm_oracle": lambda: [plethysm_oracle(m, n) for m, n in ((2, 40), (3, 8), (4, 4))],
     "foulkes_difference": lambda: foulkes_difference(3, 5),
     "schur_poly": lambda: schur_poly((3, 2, 1), 4),

@@ -8,7 +8,6 @@ from plethysm import (
     Partition,
     RecurrenceCache,
     SchurSum,
-    dent_differences,
     h2_closed,
     h2_rec,
     h3,
@@ -16,6 +15,7 @@ from plethysm import (
     h3_two_row,
     s,
 )
+from plethysm.cli import _dent_checks
 import plethysm.thrall as thrall
 
 
@@ -85,21 +85,17 @@ def test_h3_terms_nonnegative_and_short():
 
 
 def test_dent_difference_known_value():
-    assert next(dent_differences(3, 2)) == (2, s(6) + s(4, 2))
-    assert next(dent_differences(2, 2)) == (2, s(4))
+    # D(2) is s_6 + s_42 for m = 3 and s_4 for m = 2: its count of terms,
+    # no negative term, and its value at m ones.
+    assert next(_dent_checks(3, 2)) == (2, 2, [], (s(6) + s(4, 2)).eval_at_ones(3))
+    assert next(_dent_checks(2, 2)) == (2, 1, [], s(4).eval_at_ones(2))
 
 
 def test_dent_difference_positive_small():
     for m in (2, 3):
-        sweep = list(dent_differences(m, 12))
-        assert [n for n, _ in sweep] == list(range(2, 13))
-        assert all(diff.is_schur_positive() for _, diff in sweep)
-
-
-@pytest.mark.parametrize("m", [0, 1, 4])
-def test_dent_differences_rejects_other_m(m):
-    with pytest.raises(ValueError):
-        next(dent_differences(m, 5))
+        sweep = list(_dent_checks(m, 12))
+        assert [n for n, *_ in sweep] == list(range(2, 13))
+        assert not any(negative for _, _, negative, _ in sweep)
 
 
 def test_fresh_caches_agree_with_default():
@@ -128,10 +124,12 @@ def test_concurrent_use_is_consistent():
 
 def test_dent_difference_is_built_from_full_sums():
     # dent --m 3 reads the recurrence's term T(n) + s_441 odot T(n-3) from
-    # the layers; pin it to the difference of two full sums by the closed
-    # formula, which shares no code with the layers, over every residue
-    # mod 4 well past T(9).
-    for n, diff in dent_differences(3, 60):
+    # the layers, as columns 0 and 1 of h3[hn]; pin it to the difference of
+    # two full sums by the closed formula, which shares no code with the
+    # layers, over every residue mod 4 well past T(9).
+    cache = RecurrenceCache()
+    for n in range(2, 61):
+        diff = SchurSum._from_columns(n, cache.h3_columns(n, 2))
         assert diff == h3_thrall(n) - s(2, 2, 2).odot(h3_thrall(n - 2)), n
 
 

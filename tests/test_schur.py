@@ -1,4 +1,5 @@
 import json
+import re
 
 from hypothesis import example, given, strategies as st
 import pytest
@@ -240,6 +241,16 @@ def test_rejects_non_int_coefficients():
         SchurSum([((2,), True)])
     with pytest.raises(ValueError):
         SchurSum.from_json_terms([{"lambda": [True], "coeff": 1}])
+
+
+@pytest.mark.parametrize("item", [
+    {"lambda": [2, 1]}, {"coeff": 1}, [[2, 1]], [[2, 1], 1], 5, None,
+    {"lambda": 5, "coeff": 1}, {"lambda": "21", "coeff": 1}, {"lambda": (2, 1), "coeff": 1},
+])
+def test_rejects_malformed_json_terms(item):
+    # Each item is named in the error, after a well-formed one.
+    with pytest.raises(ValueError, match=r"got " + re.escape(repr(item)) + "$"):
+        SchurSum.from_json_terms([{"lambda": [3], "coeff": 1}, item])
 
 
 def test_scalar_multiple_rejects_non_int():

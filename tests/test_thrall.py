@@ -6,15 +6,14 @@ import pytest
 from plethysm import (
     Partition,
     SchurSum,
-    coeff_from_gap,
     h3_coeff_closed,
-    h3_coeff_recursive,
     h3_thrall,
     min_gap,
     partitions_of,
     s,
 )
 from plethysm.thrall import _closed
+from reference import coeff_from_gap, h3_coeff_recursive
 
 # Gap/parity pairs with hand-checked values; the recursion bottoms out
 # below 6 and adds one per step of 6.

@@ -4,14 +4,6 @@ Exit codes: 0 success / all checks pass, 1 verification or positivity
 failure, 2 usage error, 3 budget exceeded (the oracle's, or a direct
 route's count of terms in expand, verify and dent).
 
-``main`` runs each command with CPython's cycle collector off, and turns
-it back on afterwards only if it was on. The package builds no reference
-cycles: its sums are dicts of int tuples, and no function refers to
-itself through a closure. So reference counting frees everything a
-command drops, and the collector, which would pass over the fresh tuple
-keys every few hundred allocations, finds nothing. Library functions
-never touch ``gc``.
-
 The h3 routes give h3[hn] as its columns. expand writes it from them as
 one run of terms per row (``SchurSum._column_rows``), each run one join
 of part strings made once per call; verify compares the two routes
@@ -26,7 +18,6 @@ built by the first ``main`` call. It holds no computed value.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
@@ -467,13 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    collecting = gc.isenabled()
-    gc.disable()  # the package builds no reference cycles; see the module docstring
     try:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    finally:
-        if collecting:
-            gc.enable()

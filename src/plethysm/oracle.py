@@ -212,7 +212,6 @@ def plethysm_hh_monomial(m: int, n: int, k: int, budget: int | None = DEFAULT_BU
                 key += u
                 layer[key] = get(key, 0) + c
     accum = layers[m]
-    del layers  # the lower layers are spent; free them before unpacking
     total = sum(accum.values())
     if total != count:
         raise AssertionError(f"{what}: table counts {total} multisets, expected {count}")

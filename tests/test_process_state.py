@@ -2,8 +2,8 @@
 its caller owns, so what a call builds is freed once its result is. The
 one object kept is the CLI's argparse parser, which holds no computed
 value. Nothing the package builds is a reference cycle, so reference
-counting alone frees it, and the CLI runs each command with the cycle
-collector off."""
+counting alone frees it. The CLI leaves the cycle collector as its caller
+set it, so the cycle test below switches the collector off itself."""
 
 import gc
 import importlib
@@ -113,8 +113,9 @@ FAULTS = {
 @pytest.mark.parametrize("name", list(CALLS))
 def test_calls_build_no_reference_cycles(capsys, monkeypatch, name):
     # Everything a call drops must be freed by reference counting: with the
-    # collector off during the call, it finds nothing afterwards. bench
-    # times every route.
+    # collector switched off here during the call, since the CLI leaves it
+    # as its caller set it, it finds nothing afterwards. bench times every
+    # route.
     if name in FAULTS:
         monkeypatch.setattr(*FAULTS[name])
     cli.main(["dent", "--max-n", "2"])  # builds the kept parser outside the count
